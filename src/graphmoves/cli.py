@@ -163,7 +163,8 @@ def _cmd_desingularize(args) -> int:
     return 0
 
 
-def _read_plans(path: str) -> list[DelayPlan]:
+def _read_records(path: str, what: str) -> list:
+    """The JSON list of records in a plan or label file."""
     try:
         records = json.loads(Path(path).read_text())
     except OSError as err:
@@ -171,7 +172,12 @@ def _read_plans(path: str) -> list[DelayPlan]:
     except json.JSONDecodeError as err:
         raise GraphError("PARSE_ERROR", f"line {err.lineno}: {err.msg}", line=err.lineno) from err
     if not isinstance(records, list):
-        raise GraphError("PARSE_ERROR", "plan file must be a list of records")
+        raise GraphError("PARSE_ERROR", f"{what} file must be a list of records")
+    return records
+
+
+def _read_plans(path: str) -> list[DelayPlan]:
+    records = _read_records(path, "plan")
     by_vertex: dict[str, dict[int, int]] = {}
     for rec in records:
         try:
@@ -198,14 +204,7 @@ def _cmd_delay(args) -> int:
 
 
 def _read_labels(path: str, p: int, g: Graph) -> CocycleLabeling:
-    try:
-        records = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise GraphError("PARSE_ERROR", f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise GraphError("PARSE_ERROR", f"line {err.lineno}: {err.msg}", line=err.lineno) from err
-    if not isinstance(records, list):
-        raise GraphError("PARSE_ERROR", "label file must be a list of records")
+    records = _read_records(path, "label")
     slots: dict[int, int] = {}
     for rec in records:
         try:

@@ -35,6 +35,7 @@ from .graph import (
     out_slots,
     parse_ref,
     quotient_bfs,
+    quotient_slots,
     simple_cycles,
     singularities,
     source_nodes,
@@ -61,8 +62,6 @@ class SubgraphT:
     g0: VertexSet
     core: frozenset[str]
     ray_ids: frozenset[str]
-    core_edges: tuple[tuple[str, str, Mult], ...]
-    entries: tuple[tuple[str, str, Mult], ...]  # (core source, ray id, mult)
 
     @cached_property
     def nodes(self) -> frozenset[Node]:
@@ -79,18 +78,7 @@ class SubgraphT:
 
     def out_nodes(self, node: Node) -> list[tuple[Node, Mult]]:
         """T-internal out-slots of a T node, spine wrapped to class nodes."""
-        g = self.graph
-        if isinstance(node, str):
-            slots: list[tuple[Node, Mult]] = [
-                (dst, m) for src, dst, m in self.core_edges if src == node
-            ]
-            slots.extend(((rid, 0), m) for src, rid, m in self.entries if src == node)
-            return slots
-        rid, j = node
-        ray = g.ray_map[rid]
-        slots = [((rid, ray.class_of(j + 1)), ONE)]
-        slots.extend((dst, m) for dst, m in ray.targets(j) if dst in self.core)
-        return slots
+        return [(n, m) for n, m in quotient_slots(self.graph, node) if self.contains(n)]
 
     @cached_property
     def inf_nodes(self) -> frozenset[Node]:
@@ -112,16 +100,13 @@ class SubgraphT:
                     changed = True
         return frozenset(marked)
 
+    @cached_property
+    def cycles(self) -> list[tuple[str, ...]]:
+        """Representative simple cycles inside T; empty exactly when T is acyclic."""
+        return simple_cycles(self.graph, restrict_to=self.as_vertex_set())
+
     def as_vertex_set(self) -> VertexSet:
         return VertexSet.make(self.core, {rid: 0 for rid in self.ray_ids})
-
-    def to_record(self) -> dict:
-        return {
-            "core": sorted(self.core),
-            "rays": sorted(self.ray_ids),
-            "core_edges": sorted((s, d, m.to_json()) for s, d, m in self.core_edges),
-            "entries": sorted((s, f"{rid}.x0", m.to_json()) for s, rid, m in self.entries),
-        }
 
 
 def induced_T(g: Graph, g0: VertexSet) -> SubgraphT:
@@ -129,17 +114,7 @@ def induced_T(g: Graph, g0: VertexSet) -> SubgraphT:
     _check_g0(g, g0)
     core = frozenset(g.vertex_set - g0.core)
     ray_ids = frozenset(r.id for r in g.rays if g0.ray_state(r.id) is None)
-    core_edges = tuple(
-        (s, d, m) for s, d, m in g.edges if s in core and d in core
-    )
-    entries = tuple(
-        (u, r.id, m)
-        for r in g.rays
-        if r.id in ray_ids
-        for u, m in r.entry
-        if u in core
-    )
-    return SubgraphT(g, g0, core, ray_ids, core_edges, entries)
+    return SubgraphT(g, g0, core, ray_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +276,9 @@ def _in_degree_json(g: Graph, node: Node):
 # theorem-form checker
 
 
-def _first_steps_into(g: Graph, src: Node, region: frozenset[Node], t: SubgraphT) -> list[tuple[Node, Mult]]:
+def _first_steps_into(g: Graph, src: Node, region: frozenset[Node]) -> list[tuple[Node, Mult]]:
     """Out-slots of a g0 vertex that land in the given T-node region."""
-    slots: list[tuple[Node, Mult]] = []
-    if isinstance(src, str):
-        for dst, m in g._out_edges[src]:
-            if dst in region:
-                slots.append((dst, m))
-        for rid, m in g._entries_by_src[src]:
-            if rid in t.ray_ids and (rid, 0) in region:
-                slots.append(((rid, 0), m))
-    else:
-        rid, j = src
-        for dst, m in g.ray_map[rid].targets(j):
-            if dst in region:
-                slots.append((dst, m))
-    return slots
+    return [(n, m) for n, m in quotient_slots(g, src) if n in region]
 
 
 def _g0_sources(g: Graph, g0: VertexSet) -> list[Node]:
@@ -342,7 +304,7 @@ def _diverging_prefixes(
 ) -> tuple[tuple[str, ...], tuple[str, ...], bool] | None:
     """Two path prefixes from a g0 vertex witnessing distinct infinite T-paths."""
     v = node_ref(src)
-    first = [(n, m) for n, m in _first_steps_into(g, src, inf, t)]
+    first = [(n, m) for n, m in _first_steps_into(g, src, inf)]
     if _slot_count(first) >= 2:
         targets = sorted(node_ref(n) for n, _ in first)
         if len(targets) >= 2 and targets[0] != targets[1]:
@@ -377,10 +339,14 @@ def _diverging_prefixes(
 
 def check_theorem(g: Graph, g0: VertexSet) -> ContractionVerdict:
     """Direct conditions: tails, singularities, T acyclic, then (b),(c),(d),(a)."""
-    _check_g0(g, g0)
+    return theorem_verdict(induced_T(g, g0))
+
+
+def theorem_verdict(t: SubgraphT) -> ContractionVerdict:
+    """check_theorem for an already induced T, reusing its cached cycle search."""
+    g, g0 = t.graph, t.g0
     violations = _ambient_violations(g, g0)
-    t = induced_T(g, g0)
-    cycles = simple_cycles(g, restrict_to=t.as_vertex_set())
+    cycles = t.cycles
     violations.extend(TCycle("T_CYCLE", c) for c in cycles)
     if cycles:
         return _verdict(violations)
@@ -504,7 +470,7 @@ def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
     region = frozenset(t_inf)
     can_two = _two_path_nodes(t, region)
     for src in _g0_sources(g, g0):
-        slots = _first_steps_into(g, src, region, t)
+        slots = _first_steps_into(g, src, region)
         count = _slot_count(slots)
         branch = count >= 2 or (count == 1 and slots[0][0] in can_two)
         if branch:

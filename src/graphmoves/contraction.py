@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .conditions import SubgraphT, check_theorem, induced_T
+from .conditions import SubgraphT, induced_T, theorem_verdict
 from .errors import GraphError
 from .graph import (
     Graph,
@@ -29,8 +29,8 @@ from .graph import (
     out_multiplicity,
     out_slots,
     parse_ref,
-    simple_cycles,
 )
+from .graphio import graph_record
 from .multiplicity import Mult, OMEGA, ONE, ZERO, msum
 
 
@@ -150,14 +150,6 @@ class PathFamily:
             return None
         return Mult(max(p.length for p in self.finite_part))
 
-    def endpoints(self) -> dict[str, Mult]:
-        acc: dict[str, Mult] = {}
-        for p in self.finite_part:
-            acc[p.refs[-1]] = acc.get(p.refs[-1], ZERO) + p.count
-        for f in self.infinite_families:
-            acc[f.refs[-1]] = acc.get(f.refs[-1], ZERO) + OMEGA
-        return acc
-
     def to_record(self) -> dict:
         return {
             "owner": self.owner,
@@ -168,8 +160,8 @@ class PathFamily:
         }
 
 
-def _require_acyclic_T(g: Graph, g0: VertexSet, t: SubgraphT) -> None:
-    cycles = simple_cycles(g, restrict_to=t.as_vertex_set())
+def _require_acyclic_T(t: SubgraphT) -> None:
+    cycles = t.cycles
     if cycles:
         raise GraphError(
             "T_NOT_ACYCLIC",
@@ -181,63 +173,57 @@ def _require_acyclic_T(g: Graph, g0: VertexSet, t: SubgraphT) -> None:
 def enumerate_Bv(g: Graph, g0: VertexSet, v: str) -> PathFamily:
     """All B-paths from v, grouped into finite paths and infinite families."""
     t = induced_T(g, g0)
-    _require_acyclic_T(g, g0, t)
-    start = parse_ref(g, v)
+    _require_acyclic_T(t)
+    return _walk_Bv(t, v)
 
+
+def _walk_Bv(t: SubgraphT, v: str) -> PathFamily:
+    """B_v by a depth-first walk of the acyclic T, with an explicit stack.
+
+    A stack entry (node, refs, count, climbs) is one step onto node: refs is
+    the path so far, without node.  A g0 node ends the path.  A core T node
+    continues along its out-slots; a T spine position continues first along
+    its core targets, then up the spine, stopping at period_bound.  Children
+    are pushed in reverse, so paths are found in slot order.
+    """
+    g, g0 = t.graph, t.g0
+    start = parse_ref(g, v)
     finite: list[BvPath] = []
     families: list[InfiniteFamily] = []
+    stack: list[tuple[Node, tuple[str, ...], Mult, tuple[tuple[Climb, int], ...]]] = []
 
-    def complete(refs: list[str], cnt: Mult, climbs: list[tuple[Climb, int]]):
-        if not climbs:
-            finite.append(BvPath(tuple(refs), cnt))
-        else:
-            fam = InfiniteFamily(
-                refs=tuple(refs),
-                climbs=tuple(c for c, _ in climbs),
-                base_count=cnt,
-                periods=tuple(p for _, p in climbs),
-            )
-            families.append(fam)
-
-    def step_to(node: Node, m: Mult, refs: list[str], cnt: Mult, climbs):
-        nxt = refs + [node_ref(node)]
-        if g0.contains_node(node):
-            complete(nxt, cnt * m, climbs)
-        elif t.contains(node):
-            if isinstance(node, str):
-                walk_core(node, nxt, cnt * m, climbs)
-            else:
-                walk_ray(node[0], node[1], nxt[:-1], cnt * m, climbs)
-        # a node outside both is impossible: g0 and T partition the vertices
-
-    def walk_core(u: str, refs: list[str], cnt: Mult, climbs):
-        for node, m in out_slots(g, u):
-            step_to(node, m, refs, cnt, climbs)
-
-    def walk_ray(rid: str, j0: int, refs: list[str], cnt: Mult, climbs):
-        """Climb ray rid from real position j0; refs excludes the positions."""
-        ray = g.ray_map[rid]
-        p, bound, period = len(ray.prefix), ray.period_bound, len(ray.cycle)
-        here = list(refs)
-        for j in range(j0, bound):
-            here = here + [f"{rid}.x{j}"]
-            for dst, m in ray.targets(j):
-                if j < p:
-                    step_to(dst, m, here, cnt, climbs)
-                else:
-                    marker = (Climb(len(here) - 1, rid, j), period)
-                    step_to(dst, m, here, cnt, climbs + [marker])
-
-    if isinstance(start, str):
-        walk_core(start, [start], ONE, [])
+    if isinstance(start, tuple) and start[0] in t.ray_ids:
+        if start[1] < g.ray_map[start[0]].period_bound:
+            stack.append((start, (), ONE, ()))
     else:
-        rid, j = start
-        if rid in t.ray_ids:
-            walk_ray(rid, j, [], ONE, [])
+        # a core vertex or a g0 ray position: its slots are the first steps
+        here = (node_ref(start),)
+        stack.extend((node, here, m, ()) for node, m in reversed(out_slots(g, start)))
+
+    while stack:
+        node, refs, cnt, climbs = stack.pop()
+        here = refs + (node_ref(node),)
+        if g0.contains_node(node):
+            if not climbs:
+                finite.append(BvPath(here, cnt))
+            else:
+                families.append(InfiniteFamily(
+                    refs=here,
+                    climbs=tuple(c for c, _ in climbs),
+                    base_count=cnt,
+                    periods=tuple(p for _, p in climbs),
+                ))
+        elif isinstance(node, str):
+            stack.extend((nxt, here, cnt * m, climbs) for nxt, m in reversed(out_slots(g, node)))
         else:
-            # position of a g0 ray: spine and targets are immediate slots
-            for node, m in out_slots(g, start):
-                step_to(node, m, [node_ref(start)], ONE, [])
+            # g0 and T partition the vertices, so node is a position of a T ray
+            rid, j = node
+            ray = g.ray_map[rid]
+            if j + 1 < ray.period_bound:
+                stack.append(((rid, j + 1), here, cnt, climbs))
+            if j >= len(ray.prefix):
+                climbs = climbs + ((Climb(len(here) - 1, rid, j), len(ray.cycle)),)
+            stack.extend((dst, here, cnt * m, climbs) for dst, m in reversed(ray.targets(j)))
 
     key = lambda refs: (refs[-1], len(refs), refs)
     finite.sort(key=lambda pth: key(pth.refs))
@@ -253,24 +239,11 @@ class ContractedGraph:
     provenance: Mapping[tuple[str, str], tuple]
 
     def to_record(self) -> dict:
-        return {
-            "vertices": list(self.graph.vertices),
-            "edges": [
-                {"src": s, "dst": d, "mult": m.to_json()} for s, d, m in self.graph.edges
-            ],
-            "rays": [
-                {
-                    "id": r.id,
-                    "entry": [{"src": u, "mult": m.to_json()} for u, m in r.entry],
-                    "prefix": [[{"dst": d, "mult": m.to_json()} for d, m in pos] for pos in r.prefix],
-                    "cycle": [[{"dst": d, "mult": m.to_json()} for d, m in pos] for pos in r.cycle],
-                }
-                for r in self.graph.rays
-            ],
-            "provenance": {
-                f"{s}->{d}": [rec for rec in recs] for (s, d), recs in sorted(self.provenance.items())
-            },
+        record = graph_record(self.graph)
+        record["provenance"] = {
+            f"{s}->{d}": list(recs) for (s, d), recs in sorted(self.provenance.items())
         }
+        return record
 
 
 def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
@@ -284,14 +257,14 @@ def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
         raise GraphError("PARSE_ERROR", f"unknown contraction mode {mode!r}")
     t = induced_T(g, g0)  # validates g0 along the way
     if mode == "checked":
-        verdict = check_theorem(g, g0)
+        verdict = theorem_verdict(t)
         if not verdict.passed:
             raise GraphError(
                 "CONDITIONS_FAILED",
                 "contraction conditions do not hold: " + ", ".join(verdict.kinds()),
                 verdict=verdict.to_record(),
             )
-    _require_acyclic_T(g, g0, t)
+    _require_acyclic_T(t)  # in checked mode the verdict already ran this search
 
     kept_rays = []
     for r in g.rays:
@@ -313,7 +286,7 @@ def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
     provenance: dict[tuple[str, str], list] = {}
 
     for u in vertices:
-        fam = enumerate_Bv(g, g0, u)
+        fam = _walk_Bv(t, u)
         for p in fam.finite_part:
             _record_path(edge_mult, entry_mult, provenance, g, u, p.refs, p.count, None)
         for f in fam.infinite_families:

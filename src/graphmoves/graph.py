@@ -17,9 +17,9 @@ vertex is either a core id (str) or a spine position (ray id, index) pair;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import networkx as nx
 
@@ -40,14 +40,6 @@ class Ray:
     entry: tuple[tuple[str, Mult], ...]
     prefix: tuple[tuple[tuple[str, Mult], ...], ...]
     cycle: tuple[tuple[tuple[str, Mult], ...], ...]
-
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def cycle_len(self) -> int:
-        return len(self.cycle)
 
     @property
     def period_bound(self) -> int:
@@ -151,14 +143,23 @@ class Graph:
                 acc[u].append((r.id, mult))
         return {v: tuple(slots) for v, slots in acc.items()}
 
-    def num_edges(self) -> int:
-        """Edge records with a core source, ray entry records included."""
-        return len(self.edges) + sum(len(r.entry) for r in self.rays)
+    @cached_property
+    def _in_slots(self) -> Mapping[Node, tuple[tuple[Node, Mult], ...]]:
+        """In-slots of every core vertex and every ray's x0, one per record.
 
-    def has_omega_edges(self) -> bool:
-        if any(m.is_omega for _, _, m in self.edges):
-            return True
-        return any(m.is_omega for r in self.rays for _, m in r.entry)
+        Core edges come first in edge order, then each ray's positions in
+        order.  A hit from a cycle position stands for infinitely many spine
+        positions, so its slot names the class node and carries omega.
+        """
+        acc: dict[Node, list[tuple[Node, Mult]]] = {v: [] for v in self.vertices}
+        for src, dst, mult in self.edges:
+            acc[dst].append((src, mult))
+        for r in self.rays:
+            acc[(r.id, 0)] = list(r.entry)
+            for j in range(r.period_bound):
+                for dst, mult in r.targets(j):
+                    acc[dst].append(((r.id, j), mult if j < len(r.prefix) else OMEGA))
+        return {n: tuple(slots) for n, slots in acc.items()}
 
 
 def node_ref(node: Node) -> str:
@@ -195,29 +196,37 @@ def out_multiplicity(g: Graph, node: Node) -> Mult:
     return msum(m for _, m in out_slots(g, node))
 
 
+def quotient_slots(g: Graph, node: Node) -> list[Slot]:
+    """out_slots in the finite reachability quotient: the spine successor is
+    wrapped to its class, so every node reached lies below period_bound."""
+    slots = out_slots(g, node)
+    if isinstance(node, tuple):
+        (rid, j), _ = slots[0]
+        slots[0] = ((rid, g.ray_map[rid].class_of(j)), ONE)
+    return slots
+
+
+def in_slots(g: Graph, node: Node) -> tuple[Slot, ...]:
+    """All in-edges of node as (source node, multiplicity), one per record.
+
+    A core vertex hit from a ray's repeating cycle gets one omega slot per hit,
+    sourced at the cycle class; a spine position past x0 has only its spine
+    edge, since mid-spine in-edges are excluded by the model.
+    """
+    if isinstance(node, tuple) and node[1] > 0:
+        rid, j = node
+        return (((rid, j - 1), ONE),)
+    return g._in_slots[node]
+
+
 def in_multiplicity(g: Graph, node: Node) -> Mult:
     """Total multiplicity received by node, over the whole graph."""
-    if isinstance(node, str):
-        total = msum(m for src, dst, m in g.edges if dst == node)
-        for r in g.rays:
-            total = total + msum(m for pos in r.prefix for dst, m in pos if dst == node)
-            if any(dst == node for pos in r.cycle for dst, _ in pos):
-                total = total + OMEGA  # hit by infinitely many spine positions
-        return total
-    rid, j = node
-    if j == 0:
-        return msum(m for _, m in g.ray_map[rid].entry)
-    return ONE  # spine edge only; mid-spine in-edges are excluded by the model
+    return msum(m for _, m in in_slots(g, node))
 
 
 def in_core_sources(g: Graph, node: Node) -> list[tuple[str, Mult]]:
     """Core vertices emitting into node (core edges, or ray entries for x0)."""
-    if isinstance(node, str):
-        return [(src, m) for src, dst, m in g.edges if dst == node]
-    rid, j = node
-    if j == 0:
-        return [(u, m) for u, m in g.ray_map[rid].entry]
-    return []
+    return [(src, m) for src, m in in_slots(g, node) if isinstance(src, str)]
 
 
 @dataclass(frozen=True)
@@ -372,28 +381,13 @@ def is_row_finite(g: Graph) -> bool:
     return not any(out_multiplicity(g, v).is_omega for v in g.vertices)
 
 
-def quotient_out(g: Graph, node: Node) -> Iterator[Node]:
-    """Successors in the finite reachability quotient (spine wraps modulo period)."""
-    if isinstance(node, str):
-        for dst, _ in g._out_edges[node]:
-            yield dst
-        for rid, _ in g._entries_by_src[node]:
-            yield (rid, 0)
-        return
-    rid, j = node
-    ray = g.ray_map[rid]
-    yield (rid, ray.class_of(j + 1))
-    for dst, _ in ray.targets(j):
-        yield dst
-
-
 def quotient_bfs(g: Graph, sources: Iterable[Node]) -> set[Node]:
     seen = set(sources)
     frontier = list(seen)
     while frontier:
         nxt = []
         for node in frontier:
-            for succ in quotient_out(g, node):
+            for succ, _ in quotient_slots(g, node):
                 if succ not in seen:
                     seen.add(succ)
                     nxt.append(succ)

@@ -15,7 +15,17 @@ from typing import Sequence
 
 from .contraction import ContractedGraph, contract
 from .errors import GraphError
-from .graph import Graph, Ray, VertexSet, detect_tails, node_ref, out_multiplicity, parse_ref
+from .graph import (
+    Graph,
+    Ray,
+    VertexSet,
+    detect_tails,
+    in_slots,
+    node_ref,
+    out_multiplicity,
+    out_slots,
+    parse_ref,
+)
 from .multiplicity import Mult, ONE, ZERO
 
 
@@ -98,7 +108,7 @@ def desingularize(g: Graph) -> Graph:
     edges = [(src, dst, m) for src, dst, m in g.edges if not m.is_omega]
     new_rays: list[Ray] = []
     for v in emitters:
-        omega_targets = sorted({dst for src, dst, m in g.edges if src == v and m.is_omega})
+        omega_targets = sorted({dst for dst, m in out_slots(g, v) if m.is_omega})
         edges.extend((v, w, ONE) for w in omega_targets)
         new_rays.append(
             Ray(
@@ -137,8 +147,7 @@ def out_slot_units(g: Graph, v: str) -> list[str]:
         raise GraphError("UNKNOWN_VERTEX", f"no core vertex {v!r} in graph", vertex=v)
     if out_multiplicity(g, v).is_omega:
         raise GraphError("INFINITE_DEGREE", f"{v} emits infinitely many edges", vertex=v)
-    pairs = [(dst, m) for dst, m in g._out_edges[v]]
-    pairs.extend((f"{rid}.x0", m) for rid, m in g._entries_by_src[v])
+    pairs = [(node_ref(node), m) for node, m in out_slots(g, v)]
     units: list[str] = []
     for ref, m in sorted(pairs, key=lambda pair: pair[0]):
         units.extend([ref] * m.n)
@@ -150,23 +159,17 @@ def in_slot_units(g: Graph, v: str) -> list[str]:
     if v not in g.vertex_set:
         raise GraphError("UNKNOWN_VERTEX", f"no core vertex {v!r} in graph", vertex=v)
     pairs: list[tuple[str, Mult]] = []
-    for src, dst, m in g.edges:
-        if dst == v:
-            if m.is_omega:
+    for src, m in in_slots(g, v):
+        if m.is_omega:
+            if isinstance(src, str):
                 raise GraphError("INFINITE_DEGREE", f"{v} receives infinitely many edges", vertex=v)
-            pairs.append((src, m))
-    for r in g.rays:
-        if any(dst == v for pos in r.cycle for dst, _ in pos):
             raise GraphError(
                 "INFINITE_DEGREE",
-                f"{v} is hit by ray {r.id}'s repeating cycle",
+                f"{v} is hit by ray {src[0]}'s repeating cycle",
                 vertex=v,
-                ray=r.id,
+                ray=src[0],
             )
-        for j, pos in enumerate(r.prefix):
-            for dst, m in pos:
-                if dst == v:
-                    pairs.append((f"{r.id}.x{j}", m))
+        pairs.append((node_ref(src), m))
     units: list[str] = []
     for ref, m in sorted(pairs, key=lambda pair: pair[0]):
         units.extend([ref] * m.n)

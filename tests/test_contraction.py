@@ -11,7 +11,7 @@ from graphmoves.graph import (
     out_slots,
     parse_ref,
 )
-from graphmoves.graphio import RandomSpec, generate_random
+from graphmoves.graphio import RandomSpec, generate_random, graph_record
 from graphmoves.multiplicity import Mult, OMEGA, ONE, ZERO, msum
 
 VW = VertexSet.make({"v", "w"})
@@ -47,6 +47,30 @@ def test_vi_e_families():
         ("v", "L.x0", "w"),
         ("v", "L.x0", "L.x1", "w"),
         ("v", "L.x0", "L.x1", "L.x2", "w"),
+    ]
+
+
+def test_parallel_records_keep_slot_order():
+    # paths with equal refs differ only in count; they appear in the order of
+    # the records they use, depth first, as contract's provenance lists them
+    g = build_graph({
+        "vertices": ["v", "t", "w"],
+        "edges": [
+            {"src": "v", "dst": "t", "mult": 1},
+            {"src": "v", "dst": "t", "mult": 2},
+            {"src": "t", "dst": "w", "mult": 1},
+            {"src": "t", "dst": "w", "mult": 3},
+        ],
+        "rays": [{"id": "L", "entry": [{"src": "v"}], "prefix": [[{"dst": "w", "mult": 1}, {"dst": "w", "mult": 2}]],
+                  "cycle": [[{"dst": "w", "mult": 5}, {"dst": "w", "mult": 4}]]}],
+    })
+    fam = enumerate_Bv(g, VW, "v")
+    assert [(p.refs, p.count.n) for p in fam.finite_part] == [
+        (("v", "L.x0", "w"), 1), (("v", "L.x0", "w"), 2),
+        (("v", "t", "w"), 1), (("v", "t", "w"), 3), (("v", "t", "w"), 2), (("v", "t", "w"), 6),
+    ]
+    assert [(f.refs, f.base_count.n) for f in fam.infinite_families] == [
+        (("v", "L.x0", "L.x1", "w"), 5), (("v", "L.x0", "L.x1", "w"), 4),
     ]
 
 
@@ -98,6 +122,54 @@ def test_cyclic_T_refused_unchecked():
     with pytest.raises(GraphError) as err:
         contract(fix_loop(), VertexSet.make(set()), "unchecked")
     assert err.value.code == "T_NOT_ACYCLIC"
+
+
+def test_contract_runs_one_cycle_search(monkeypatch):
+    from graphmoves import conditions
+
+    calls = []
+    real = conditions.simple_cycles
+    monkeypatch.setattr(conditions, "simple_cycles", lambda *a, **k: calls.append(1) or real(*a, **k))
+    g = fix_b2()
+    for mode in ("checked", "unchecked"):
+        calls.clear()
+        contract(g, VW, mode)
+        assert len(calls) == 1, mode
+    with pytest.raises(GraphError) as err:
+        contract(fix_loop(), VertexSet.make(set()), "checked")
+    assert err.value.code == "CONDITIONS_FAILED"
+    calls.clear()
+    enumerate_Bv(g, VW, "v")  # the public walk still checks T itself
+    assert len(calls) == 1
+
+
+def test_long_chain_contracts_without_recursion():
+    # the B_v walk keeps its own stack, so path length is not bounded by the
+    # interpreter's recursion limit
+    n = 2000
+    names = ["v"] + [f"c{i}" for i in range(n)] + ["w"]
+    g = build_graph({
+        "vertices": names,
+        "edges": [{"src": a, "dst": b, "mult": 1} for a, b in zip(names, names[1:])],
+    })
+    out = contract(g, VW, "checked")
+    assert out.graph.edges == (("v", "w", ONE),)
+    assert [rec["path"] for rec in out.provenance[("v", "w")]] == [names]
+
+
+def test_contract_record_is_the_graph_record_plus_provenance():
+    g = build_graph({
+        "vertices": ["w", "t", "v"],
+        "edges": [{"src": "v", "dst": "t"}, {"src": "t", "dst": "w"}, {"src": "w", "dst": "v"}],
+    })
+    out = contract(g, VW, "checked")
+    rec = out.to_record()
+    assert rec.pop("provenance") == {
+        "v->w": [{"path": ["v", "t", "w"], "count": 1}],
+        "w->v": [{"path": ["w", "v"], "count": 1}],
+    }
+    assert rec == graph_record(out.graph)
+    assert rec["vertices"] == ["v", "w"]
 
 
 def test_g0_with_escaping_ray_refused():
