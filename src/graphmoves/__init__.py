@@ -8,14 +8,8 @@ a move preserved what it should.
 """
 
 from .conditions import (
-    CondA,
-    CondB,
-    CondC,
-    CondD,
     ContractionVerdict,
-    SingularityOutsideG0,
-    TailsPresent,
-    TCycle,
+    Violation,
     check_proposition,
     check_theorem,
     induced_T,
@@ -74,10 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BvPath",
     "CocycleLabeling",
-    "CondA",
-    "CondB",
-    "CondC",
-    "CondD",
     "ContractedGraph",
     "ContractionVerdict",
     "DelayPlan",
@@ -92,10 +82,8 @@ __all__ = [
     "RandomSpec",
     "Ray",
     "SHFamily",
-    "SingularityOutsideG0",
-    "TCycle",
-    "TailsPresent",
     "VertexSet",
+    "Violation",
     "ZERO",
     "adjacency_matrix",
     "build_graph",

@@ -17,7 +17,8 @@ T through T-internal edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GraphError
@@ -30,6 +31,7 @@ from .graph import (
     detect_tails,
     in_core_sources,
     in_multiplicity,
+    in_slots,
     node_ref,
     out_multiplicity,
     out_slots,
@@ -87,17 +89,13 @@ class SubgraphT:
         With T acyclic, these are exactly the nodes reaching a full T-ray
         through T-internal edges; every spine node qualifies by climbing.
         """
-        ray_nodes = [n for n in self.nodes if isinstance(n, tuple)]
-        marked: set[Node] = set(ray_nodes)
-        changed = True
-        while changed:
-            changed = False
-            for n in self.nodes:
-                if n in marked:
-                    continue
-                if any(m in marked for m, _ in self.out_nodes(n)):
-                    marked.add(n)
-                    changed = True
+        frontier = [n for n in self.nodes if isinstance(n, tuple)]
+        marked: set[Node] = set(frontier)
+        while frontier:
+            for src, _ in in_slots(self.graph, frontier.pop()):
+                if src not in marked and self.contains(src):
+                    marked.add(src)
+                    frontier.append(src)
         return frozenset(marked)
 
     @cached_property
@@ -120,118 +118,57 @@ def induced_T(g: Graph, g0: VertexSet) -> SubgraphT:
 # ---------------------------------------------------------------------------
 # violations
 
-_KIND_ORDER = {
-    "TAILS_PRESENT": 0,
-    "SINGULARITY_OUTSIDE_G0": 1,
-    "T_CYCLE": 2,
-    "COND_B": 3,
-    "COND_C": 4,
-    "COND_D": 5,
-    "COND_A": 6,
-}
-
 
 @dataclass(frozen=True)
 class Violation:
+    """One reason g0 fails, with a finite witness; a kind sets only its fields.
+
+    - TAILS_PRESENT: tail, a TailWitness
+    - SINGULARITY_OUTSIDE_G0: vertex
+    - T_CYCLE: cycle, the vertex refs of a cycle avoiding g0
+    - COND_B: vertex, unreached from g0; ray, a T-ray it reaches
+    - COND_C: vertex; in_degree, its in-multiplicity as JSON
+    - COND_D: edge (source, target ref) from the omega emitter source
+    - COND_A: vertex in g0; prefix1 and prefix2, starts of two infinite
+      T-paths from it; parallel, when they leave by parallel edges
+    """
+
     kind: str
-
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], self._witness_key())
-
-    def _witness_key(self):
-        return ()
-
-    def to_record(self) -> dict:
-        return {"kind": self.kind}
-
-
-@dataclass(frozen=True)
-class TailsPresent(Violation):
-    witness: TailWitness
-
-    def _witness_key(self):
-        return (self.witness.ray, self.witness.head)
-
-    def to_record(self):
-        return {"kind": self.kind, "tail": self.witness.to_record()}
-
-
-@dataclass(frozen=True)
-class SingularityOutsideG0(Violation):
-    vertex: str
-
-    def _witness_key(self):
-        return (self.vertex,)
-
-    def to_record(self):
-        return {"kind": self.kind, "vertex": self.vertex}
-
-
-@dataclass(frozen=True)
-class TCycle(Violation):
-    cycle: tuple[str, ...]
-
-    def _witness_key(self):
-        return (len(self.cycle), self.cycle)
-
-    def to_record(self):
-        return {"kind": self.kind, "cycle": list(self.cycle)}
-
-
-@dataclass(frozen=True)
-class CondA(Violation):
-    vertex: str
-    prefix1: tuple[str, ...]
-    prefix2: tuple[str, ...]
+    vertex: str = ""
+    tail: TailWitness | None = None
+    cycle: tuple[str, ...] = ()
+    ray: str = ""
+    in_degree: int | str = 0
+    edge: tuple[str, ...] = ()
+    source: str = ""
+    prefix1: tuple[str, ...] = ()
+    prefix2: tuple[str, ...] = ()
     parallel: bool = False
 
-    def _witness_key(self):
-        return (self.vertex, self.prefix1, self.prefix2)
+    def sort_key(self):
+        rank, _, witness_key = _KINDS[self.kind]
+        return (rank, witness_key(self))
 
-    def to_record(self):
-        return {
-            "kind": self.kind,
-            "vertex": self.vertex,
-            "prefix1": list(self.prefix1),
-            "prefix2": list(self.prefix2),
-            "parallel": self.parallel,
-        }
-
-
-@dataclass(frozen=True)
-class CondB(Violation):
-    vertex: str
-    ray: str
-
-    def _witness_key(self):
-        return (self.vertex,)
-
-    def to_record(self):
-        return {"kind": self.kind, "vertex": self.vertex, "ray": self.ray}
+    def to_record(self) -> dict:
+        record: dict = {"kind": self.kind}
+        for name in _KINDS[self.kind][1]:
+            value = getattr(self, name)
+            if isinstance(value, TailWitness):
+                value = value.to_record()
+            record[name] = list(value) if isinstance(value, tuple) else value
+        return record
 
 
-@dataclass(frozen=True)
-class CondC(Violation):
-    vertex: str
-    in_degree: int | str
-
-    def _witness_key(self):
-        return (self.vertex,)
-
-    def to_record(self):
-        return {"kind": self.kind, "vertex": self.vertex, "in_degree": self.in_degree}
-
-
-@dataclass(frozen=True)
-class CondD(Violation):
-    edge: tuple[str, str]
-    source: str
-
-    def _witness_key(self):
-        return self.edge
-
-    def to_record(self):
-        return {"kind": self.kind, "edge": list(self.edge), "source": self.source}
+# kind -> (rank in a verdict, record fields in order, witness sort key)
+_KINDS: dict[str, tuple[int, tuple[str, ...], Callable[[Violation], tuple]]] = {
+    "TAILS_PRESENT": (0, ("tail",), lambda v: (v.tail.ray, v.tail.head)),
+    "SINGULARITY_OUTSIDE_G0": (1, ("vertex",), lambda v: (v.vertex,)),
+    "T_CYCLE": (2, ("cycle",), lambda v: (len(v.cycle), v.cycle)),
+    "COND_B": (3, ("vertex", "ray"), lambda v: (v.vertex,)),
+    "COND_C": (4, ("vertex", "in_degree"), lambda v: (v.vertex,)),
+    "COND_D": (5, ("edge", "source"), lambda v: v.edge),
+    "COND_A": (6, ("vertex", "prefix1", "prefix2", "parallel"), lambda v: (v.vertex, v.prefix1, v.prefix2)),
+}
 
 
 @dataclass(frozen=True)
@@ -258,9 +195,9 @@ def _verdict(violations: list[Violation]) -> ContractionVerdict:
 def _ambient_violations(g: Graph, g0: VertexSet) -> list[Violation]:
     out: list[Violation] = []
     for tail in detect_tails(g):
-        out.append(TailsPresent("TAILS_PRESENT", tail))
+        out.append(Violation("TAILS_PRESENT", tail=tail))
     for v in sorted(singularities(g) - g0.core):
-        out.append(SingularityOutsideG0("SINGULARITY_OUTSIDE_G0", v))
+        out.append(Violation("SINGULARITY_OUTSIDE_G0", v))
     return out
 
 
@@ -281,14 +218,6 @@ def _first_steps_into(g: Graph, src: Node, region: frozenset[Node]) -> list[tupl
     return [(n, m) for n, m in quotient_slots(g, src) if n in region]
 
 
-def _g0_sources(g: Graph, g0: VertexSet) -> list[Node]:
-    nodes: list[Node] = sorted(g0.core)
-    for rid, k in g0.rays:
-        ray = g.ray_map[rid]
-        nodes.extend((rid, j) for j in range(k, ray.period_bound))
-    return nodes
-
-
 def _slot_count(slots: list[tuple[Node, Mult]]) -> int:
     """Total slots, saturating at 2 (omega counts as many)."""
     total = 0
@@ -299,17 +228,20 @@ def _slot_count(slots: list[tuple[Node, Mult]]) -> int:
     return total
 
 
-def _diverging_prefixes(
-    g: Graph, t: SubgraphT, src: Node, inf: frozenset[Node]
-) -> tuple[tuple[str, ...], tuple[str, ...], bool] | None:
-    """Two path prefixes from a g0 vertex witnessing distinct infinite T-paths."""
+def _branch(stem: list[str], slots: list[tuple[Node, Mult]]) -> Violation:
+    """COND_A witness: two prefixes leaving the stem by two of the given slots."""
+    refs = sorted(node_ref(n) for n, _ in slots)
+    parallel = len(refs) < 2 or refs[0] == refs[1]
+    last = refs[0] if parallel else refs[1]
+    return Violation("COND_A", stem[0], prefix1=(*stem, refs[0]), prefix2=(*stem, last), parallel=parallel)
+
+
+def _cond_a(g: Graph, t: SubgraphT, src: Node, inf: frozenset[Node]) -> Violation | None:
+    """The COND_A record of a g0 vertex with two distinct infinite T-paths, else None."""
     v = node_ref(src)
-    first = [(n, m) for n, m in _first_steps_into(g, src, inf)]
+    first = _first_steps_into(g, src, inf)
     if _slot_count(first) >= 2:
-        targets = sorted(node_ref(n) for n, _ in first)
-        if len(targets) >= 2 and targets[0] != targets[1]:
-            return ((v, targets[0]), (v, targets[1]), False)
-        return ((v, targets[0]), (v, targets[0]), True)
+        return _branch([v], first)
     if not first:
         return None
     # single forced entry; search the reachable inf-region for a branch node
@@ -326,10 +258,7 @@ def _diverging_prefixes(
                 back = parent[back]
                 stem.insert(0, node_ref(back))
             stem.insert(0, v)
-            refs = sorted(node_ref(n) for n, _ in inf_slots)
-            if len(refs) >= 2 and refs[0] != refs[1]:
-                return (tuple(stem + [refs[0]]), tuple(stem + [refs[1]]), False)
-            return (tuple(stem + [refs[0]]), tuple(stem + [refs[0]]), True)
+            return _branch(stem, inf_slots)
         for n, _ in inf_slots:
             if n not in parent:
                 parent[n] = node
@@ -347,7 +276,7 @@ def theorem_verdict(t: SubgraphT) -> ContractionVerdict:
     g, g0 = t.graph, t.g0
     violations = _ambient_violations(g, g0)
     cycles = t.cycles
-    violations.extend(TCycle("T_CYCLE", c) for c in cycles)
+    violations.extend(Violation("T_CYCLE", cycle=c) for c in cycles)
     if cycles:
         return _verdict(violations)
 
@@ -358,24 +287,24 @@ def theorem_verdict(t: SubgraphT) -> ContractionVerdict:
     for node in sorted(inf, key=node_ref):
         if node not in reached:
             witness_ray = node[0] if isinstance(node, tuple) else _some_ray_reached(t, node)
-            violations.append(CondB("COND_B", node_ref(node), witness_ray))
+            violations.append(Violation("COND_B", node_ref(node), ray=witness_ray))
 
     # (c): vertices along infinite T-paths receive exactly one edge
     for node in sorted(inf, key=node_ref):
         if in_multiplicity(g, node) != ONE:
-            violations.append(CondC("COND_C", node_ref(node), _in_degree_json(g, node)))
+            violations.append(Violation("COND_C", node_ref(node), in_degree=_in_degree_json(g, node)))
 
     # (d): edges into infinite-path starts come from finite emitters
     for node in sorted(inf, key=node_ref):
         for src, _ in in_core_sources(g, node):
             if out_multiplicity(g, src).is_omega:
-                violations.append(CondD("COND_D", (src, node_ref(node)), src))
+                violations.append(Violation("COND_D", edge=(src, node_ref(node)), source=src))
 
     # (a): no g0 vertex sources two distinct infinite paths through T
-    for src in _g0_sources(g, g0):
-        witness = _diverging_prefixes(g, t, src, inf)
+    for src in source_nodes(g, g0):
+        witness = _cond_a(g, t, src, inf)
         if witness is not None:
-            violations.append(CondA("COND_A", node_ref(src), witness[0], witness[1], witness[2]))
+            violations.append(witness)
     return _verdict(violations)
 
 
@@ -423,16 +352,8 @@ def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
     """Cycle/path conditions: (1) every cycle meets g0, then (b'),(c'),(d'),(a')."""
     _check_g0(g, g0)
     violations = _ambient_violations(g, g0)
-
-    def in_g0(ref: str) -> bool:
-        node = parse_ref(g, ref)
-        if isinstance(node, str):
-            return node in g0.core
-        state = g0.ray_state(node[0])
-        return state is not None and node[1] >= state
-
-    bad_cycles = [c for c in simple_cycles(g) if not any(in_g0(r) for r in c)]
-    violations.extend(TCycle("T_CYCLE", c) for c in bad_cycles)
+    bad_cycles = [c for c in simple_cycles(g) if not any(g0.contains_node(parse_ref(g, r)) for r in c)]
+    violations.extend(Violation("T_CYCLE", cycle=c) for c in bad_cycles)
     if bad_cycles:
         return _verdict(violations)
 
@@ -453,30 +374,30 @@ def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
     # (b'): an unreached node starting an all-T infinite path violates
     for node in sorted(t_inf, key=node_ref):
         if node not in reached:
-            violations.append(CondB("COND_B", node_ref(node), witness_ray_for(node)))
+            violations.append(Violation("COND_B", node_ref(node), ray=witness_ray_for(node)))
 
     # (c'): |r^-1(s(mu))| > 1 with mu avoiding g0 violates
     for node in sorted(t_inf, key=node_ref):
         if ONE < in_multiplicity(g, node):
-            violations.append(CondC("COND_C", node_ref(node), _in_degree_json(g, node)))
+            violations.append(Violation("COND_C", node_ref(node), in_degree=_in_degree_json(g, node)))
 
     # (d'): an omega emitter heading an all-T infinite tail violates
     for node in sorted(t_inf, key=node_ref):
         for src, _ in in_core_sources(g, node):
             if out_multiplicity(g, src).is_omega:
-                violations.append(CondD("COND_D", (src, node_ref(node)), src))
+                violations.append(Violation("COND_D", edge=(src, node_ref(node)), source=src))
 
     # (a'): two distinct infinite paths from one g0 vertex avoiding g0 after start
     region = frozenset(t_inf)
     can_two = _two_path_nodes(t, region)
-    for src in _g0_sources(g, g0):
+    for src in source_nodes(g, g0):
         slots = _first_steps_into(g, src, region)
         count = _slot_count(slots)
         branch = count >= 2 or (count == 1 and slots[0][0] in can_two)
         if branch:
-            witness = _diverging_prefixes(g, t, src, region)
+            witness = _cond_a(g, t, src, region)
             if witness is not None:
-                violations.append(CondA("COND_A", node_ref(src), witness[0], witness[1], witness[2]))
+                violations.append(witness)
     return _verdict(violations)
 
 
@@ -504,14 +425,23 @@ def _two_path_nodes(t: SubgraphT, t_inf: frozenset[Node]) -> set[Node]:
 # witness revalidation (used by the test suite's truncation oracle)
 
 
+def _class_node(g: Graph, ref: str) -> Node:
+    """Parse a ref, wrapping a spine position to its quotient class."""
+    node = parse_ref(g, ref)
+    if isinstance(node, tuple):
+        node = (node[0], g.ray_map[node[0]].class_of(node[1]))
+    return node
+
+
 def validate_witness(g: Graph, g0: VertexSet, violation: Violation) -> bool:
     """Re-check a violation's witness against the graph it was issued for."""
     t = induced_T(g, g0)
-    if isinstance(violation, TailsPresent):
-        return any(tw == violation.witness for tw in detect_tails(g))
-    if isinstance(violation, SingularityOutsideG0):
+    kind = violation.kind
+    if kind == "TAILS_PRESENT":
+        return any(tw == violation.tail for tw in detect_tails(g))
+    if kind == "SINGULARITY_OUTSIDE_G0":
         return violation.vertex in singularities(g) and violation.vertex not in g0.core
-    if isinstance(violation, TCycle):
+    if kind == "T_CYCLE":
         refs = violation.cycle
         if not refs:
             return False
@@ -527,34 +457,25 @@ def validate_witness(g: Graph, g0: VertexSet, violation: Violation) -> bool:
             if nxt not in step_targets:
                 return False
         return True
-    if isinstance(violation, CondB):
-        node = parse_ref(g, violation.vertex)
-        if isinstance(node, tuple):
-            node = (node[0], g.ray_map[node[0]].class_of(node[1]))
+    if kind == "COND_B":
+        node = _class_node(g, violation.vertex)
         return node in t.inf_nodes and node not in _reached_from_g0(g, g0)
-    if isinstance(violation, CondC):
-        node = parse_ref(g, violation.vertex)
-        if isinstance(node, tuple):
-            node = (node[0], g.ray_map[node[0]].class_of(node[1]))
+    if kind == "COND_C":
+        node = _class_node(g, violation.vertex)
         return node in t.inf_nodes and _in_degree_json(g, node) == violation.in_degree
-    if isinstance(violation, CondD):
+    if kind == "COND_D":
         src, dst_ref = violation.edge
-        node = parse_ref(g, dst_ref)
-        if isinstance(node, tuple):
-            node = (node[0], g.ray_map[node[0]].class_of(node[1]))
+        node = _class_node(g, dst_ref)
         if node not in t.inf_nodes or not out_multiplicity(g, src).is_omega:
             return False
         return any(s == src for s, _ in in_core_sources(g, node))
-    if isinstance(violation, CondA):
+    if kind == "COND_A":
         if not g0.contains_node(parse_ref(g, violation.vertex)):
             return False
         for prefix in (violation.prefix1, violation.prefix2):
             if len(prefix) < 2 or prefix[0] != violation.vertex:
                 return False
-            end = parse_ref(g, prefix[-1])
-            if isinstance(end, tuple):
-                end = (end[0], g.ray_map[end[0]].class_of(end[1]))
-            if end not in t.inf_nodes:
+            if _class_node(g, prefix[-1]) not in t.inf_nodes:
                 return False
         if violation.prefix1 == violation.prefix2 and not violation.parallel:
             return False

@@ -78,7 +78,7 @@ class InfiniteFamily:
     def member(self, params: tuple[int, ...]) -> tuple[str, ...]:
         """The member path with params[i] extra loops before climb exit i."""
         if len(params) != len(self.climbs):
-            raise GraphError("UNKNOWN_VERTEX", "one loop parameter per climb required")
+            raise GraphError("BAD_ARGUMENT", "one loop parameter per climb required")
         by_index = {
             c.ref_index: (c, period, extra)
             for c, period, extra in zip(self.climbs, self.periods, params)
@@ -254,7 +254,7 @@ def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
     complement subgraph to be acyclic.
     """
     if mode not in ("checked", "unchecked"):
-        raise GraphError("PARSE_ERROR", f"unknown contraction mode {mode!r}")
+        raise GraphError("BAD_ARGUMENT", f"unknown contraction mode {mode!r}")
     t = induced_T(g, g0)  # validates g0 along the way
     if mode == "checked":
         verdict = theorem_verdict(t)

@@ -317,13 +317,13 @@ def build_graph(description: Mapping) -> Graph:
     vertices = tuple(description.get("vertices", ()))
     for v in vertices:
         if not isinstance(v, str):
-            raise GraphError("DUPLICATE_ID", f"vertex ids must be strings, got {v!r}")
+            raise GraphError("PARSE_ERROR", f"vertex ids must be strings, got {v!r}")
     ray_descs = description.get("rays", ())
     ray_ids = []
     for rd in ray_descs:
         rid = rd.get("id")
         if not isinstance(rid, str):
-            raise GraphError("DUPLICATE_ID", f"ray ids must be strings, got {rid!r}")
+            raise GraphError("PARSE_ERROR", f"ray ids must be strings, got {rid!r}")
         ray_ids.append(rid)
 
     extra_entries: dict[str, list[tuple[str, Mult]]] = {rid: [] for rid in ray_ids}
@@ -554,7 +554,7 @@ def materialize(g: Graph, depth: int) -> Graph:
     spine edge.  Spine positions become core vertices named "rayid.xk".
     """
     if depth < 0:
-        raise GraphError("UNKNOWN_VERTEX", f"materialize depth must be nonnegative, got {depth}")
+        raise GraphError("BAD_ARGUMENT", f"materialize depth must be nonnegative, got {depth}")
     vertices = list(g.vertices)
     edges = list(g.edges)
     for ray in g.rays:

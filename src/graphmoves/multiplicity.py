@@ -20,7 +20,7 @@ class Mult:
 
     def __post_init__(self):
         if self.n is not None and self.n < 0:
-            raise GraphError("ZERO_MULTIPLICITY", f"multiplicity must be nonnegative, got {self.n}")
+            raise GraphError("PARSE_ERROR", f"multiplicity must be nonnegative, got {self.n}")
 
     @property
     def is_omega(self) -> bool:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from graphmoves.conditions import (
@@ -233,3 +235,126 @@ def test_verdict_record_shape():
     rec = verdict.to_record()
     assert rec["pass"] is False
     assert rec["violations"][0]["kind"] == "COND_A"
+
+
+# ---------------------------------------------------------------------------
+# the record format of each violation kind
+
+
+def _edge(src, dst, mult=1):
+    return {"src": src, "dst": dst, "mult": mult}
+
+
+def _unit_ray(rid, src, target):
+    return {"id": rid, "entry": [{"src": src, "mult": 1}], "prefix": [], "cycle": [[{"dst": target, "mult": 1}]]}
+
+
+def _tails_graph():
+    return build_graph({
+        "vertices": ["b", "u", "c1"],
+        "edges": [_edge("b", "u"), _edge("b", "b"), _edge("u", "c1")],
+        "rays": [{"id": "T", "entry": [{"src": "c1", "mult": 1}], "prefix": [], "cycle": [[]]}],
+    })
+
+
+def _cond_b_graph():
+    return build_graph({"vertices": ["v", "w", "z"], "edges": [_edge("v", "w")], "rays": [_unit_ray("S", "z", "w")]})
+
+
+def _cond_c_graph():
+    return build_graph({
+        "vertices": ["v", "w", "t"],
+        "edges": [_edge("v", "t", 2), _edge("w", "w")],
+        "rays": [_unit_ray("S", "t", "w")],
+    })
+
+
+RECORD_CASES = [
+    (
+        "TAILS_PRESENT", _tails_graph, VertexSet.make({"b", "u", "c1"}),
+        '{"kind": "TAILS_PRESENT", "tail": {"head": "u", "core_chain": ["c1"], "ray": "T", "suffix_start": 0}}',
+    ),
+    ("SINGULARITY_OUTSIDE_G0", fix_inf, VertexSet.make({"w"}), '{"kind": "SINGULARITY_OUTSIDE_G0", "vertex": "v"}'),
+    ("T_CYCLE", fix_loop, VertexSet.make(), '{"kind": "T_CYCLE", "cycle": ["u"]}'),
+    ("COND_B", _cond_b_graph, VW, '{"kind": "COND_B", "vertex": "S.x0", "ray": "S"}'),
+    ("COND_C", _cond_c_graph, VW, '{"kind": "COND_C", "vertex": "t", "in_degree": 2}'),
+    ("COND_D", fix_vi_f, VW, '{"kind": "COND_D", "edge": ["v", "X.x0"], "source": "v"}'),
+    (
+        "COND_A", fix_vi_e, VW,
+        '{"kind": "COND_A", "vertex": "v", "prefix1": ["v", "L.x0"], "prefix2": ["v", "R.x0"], "parallel": false}',
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, build, g0, text", RECORD_CASES, ids=[c[0] for c in RECORD_CASES])
+def test_violation_record_text(kind, build, g0, text):
+    g = build()
+    for verdict in both(g, g0):
+        first = next(v for v in verdict.violations if v.kind == kind)
+        assert json.dumps(first.to_record()) == text
+        assert validate_witness(g, g0, first)
+
+
+def test_kind_order_inside_a_verdict():
+    ambient = build_graph({
+        "vertices": ["b", "u", "c1", "s", "y"],
+        "edges": [_edge("b", "u"), _edge("b", "b"), _edge("u", "c1"), _edge("b", "s"), _edge("y", "y"), _edge("b", "y")],
+        "rays": [{"id": "T", "entry": [{"src": "c1", "mult": 1}], "prefix": [], "cycle": [[]]}],
+    })
+    for verdict in both(ambient, VertexSet.make({"b", "u", "c1"})):
+        assert verdict.kinds() == ("TAILS_PRESENT", "SINGULARITY_OUTSIDE_G0", "T_CYCLE")
+    conds = build_graph({
+        "vertices": ["v", "w", "t", "z"],
+        "edges": [_edge("v", "w", "inf"), _edge("v", "t", 2), _edge("w", "w")],
+        "rays": [_unit_ray("X", "v", "w"), _unit_ray("S", "t", "w"), _unit_ray("Z", "z", "w")],
+    })
+    thm, prop = both(conds, VW)
+    # the theorem route also reads in-degree 0 at z as a COND_C witness
+    assert thm.kinds() == ("COND_B", "COND_B", "COND_C", "COND_C", "COND_D", "COND_D", "COND_A")
+    assert prop.kinds() == ("COND_B", "COND_B", "COND_C", "COND_D", "COND_D", "COND_A")
+    assert [json.dumps(v.to_record()) for v in prop.violations] == [
+        '{"kind": "COND_B", "vertex": "Z.x0", "ray": "Z"}',
+        '{"kind": "COND_B", "vertex": "z", "ray": "Z"}',
+        '{"kind": "COND_C", "vertex": "t", "in_degree": 2}',
+        '{"kind": "COND_D", "edge": ["v", "X.x0"], "source": "v"}',
+        '{"kind": "COND_D", "edge": ["v", "t"], "source": "v"}',
+        '{"kind": "COND_A", "vertex": "v", "prefix1": ["v", "X.x0"], "prefix2": ["v", "t"], "parallel": false}',
+    ]
+
+
+# ---------------------------------------------------------------------------
+# infinite-node marking
+
+
+def _inf_nodes_fixpoint(t):
+    """The definition: ray nodes, then every T node with a T-slot into a marked node."""
+    marked = {n for n in t.nodes if isinstance(n, tuple)}
+    changed = True
+    while changed:
+        changed = False
+        for n in t.nodes - marked:
+            if any(m in marked for m, _ in t.out_nodes(n)):
+                marked.add(n)
+                changed = True
+    return marked
+
+
+def test_long_chain_into_a_ray_is_all_infinite():
+    n = 3000
+    chain = [f"c{i}" for i in range(n)]
+    g = build_graph({
+        "vertices": ["v", "w", *chain],
+        "edges": [_edge("v", "c0")] + [_edge(a, b) for a, b in zip(chain, chain[1:])],
+        "rays": [_unit_ray("R", chain[-1], "w")],
+    })
+    t = induced_T(g, VW)
+    assert t.inf_nodes == frozenset(chain) | {("R", 0)}
+
+
+def test_inf_nodes_match_fixpoint_on_random_instances():
+    nonempty = 0
+    for g, g0 in _instances(800, omega_probability=0.3, ray_range=(0, 3), cycle_range=(1, 3)):
+        t = induced_T(g, g0)
+        assert t.inf_nodes == _inf_nodes_fixpoint(t), g0.render()
+        nonempty += bool(t.inf_nodes)
+    assert nonempty > 100

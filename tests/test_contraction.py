@@ -92,6 +92,19 @@ def test_antichain_on_fixtures():
 # contraction results
 
 
+def test_unknown_contraction_mode_is_a_bad_argument():
+    with pytest.raises(GraphError) as err:
+        contract(fix_b2(), VW, "loose")
+    assert err.value.code == "BAD_ARGUMENT"
+
+
+def test_wrong_loop_parameter_count_is_a_bad_argument():
+    (left, _) = enumerate_Bv(fix_vi_e(), VW, "v").infinite_families
+    with pytest.raises(GraphError) as err:
+        left.member((1, 2))
+    assert err.value.code == "BAD_ARGUMENT"
+
+
 def test_contract_b2():
     out = contract(fix_b2(), VW, "checked")
     assert out.graph.vertices == ("v", "w")

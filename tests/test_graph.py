@@ -54,6 +54,27 @@ def test_core_id_shadowing_ray_position_rejected():
     assert err.value.code == "DUPLICATE_ID"
 
 
+def test_non_string_ids_are_parse_errors():
+    with pytest.raises(GraphError) as err:
+        build_graph({"vertices": ["a", 7], "edges": []})
+    assert err.value.code == "PARSE_ERROR"
+    with pytest.raises(GraphError) as err:
+        build_graph({"vertices": ["a"], "edges": [], "rays": [{"id": 3, "entry": [], "prefix": [], "cycle": [[]]}]})
+    assert err.value.code == "PARSE_ERROR"
+
+
+def test_negative_edge_multiplicity_is_a_parse_error():
+    with pytest.raises(GraphError) as err:
+        build_graph({"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "mult": -1}]})
+    assert err.value.code == "PARSE_ERROR"
+
+
+def test_negative_materialize_depth_is_a_bad_argument():
+    with pytest.raises(GraphError) as err:
+        materialize(fix_vi_e(), -1)
+    assert err.value.code == "BAD_ARGUMENT"
+
+
 def test_dangling_endpoint_rejected():
     with pytest.raises(GraphError) as err:
         build_graph({"vertices": ["a"], "edges": [{"src": "a", "dst": "b", "mult": 1}]})

@@ -51,7 +51,7 @@ def test_constants():
 def test_negative_rejected():
     with pytest.raises(GraphError) as err:
         Mult(-1)
-    assert err.value.code == "ZERO_MULTIPLICITY" or err.value.code == "PARSE_ERROR"
+    assert err.value.code == "PARSE_ERROR"
 
 
 def test_json_round_trip():
