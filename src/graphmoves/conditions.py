@@ -28,6 +28,7 @@ from .graph import (
     TailWitness,
     VertexSet,
     check_membership_args,
+    cycle_witnesses,
     detect_tails,
     in_core_sources,
     in_multiplicity,
@@ -38,9 +39,10 @@ from .graph import (
     parse_ref,
     quotient_bfs,
     quotient_slots,
-    simple_cycles,
+    search_graph,
     singularities,
     source_nodes,
+    strong_components,
 )
 from .multiplicity import Mult, ONE
 
@@ -100,8 +102,29 @@ class SubgraphT:
 
     @cached_property
     def cycles(self) -> list[tuple[str, ...]]:
-        """Representative simple cycles inside T; empty exactly when T is acyclic."""
-        return simple_cycles(self.graph, restrict_to=self.as_vertex_set())
+        """Cycle witnesses inside T; empty exactly when T is acyclic.
+
+        A Kahn peel of T's search graph decides: T is acyclic when every node
+        peels.  Otherwise the unpeeled nodes, which are closed under
+        successors, hold every cyclic strong component, and each such
+        component gives its one shortest cycle through its smallest ref
+        (`cycle_witnesses`), so the list has at most |T| entries.
+        """
+        succ = search_graph(self.graph, self.as_vertex_set())
+        in_degree = dict.fromkeys(succ, 0)
+        for targets in succ.values():
+            for nxt in targets:
+                in_degree[nxt] += 1
+        ready = [n for n, d in in_degree.items() if d == 0]
+        while ready:
+            for nxt in succ[ready.pop()]:
+                in_degree[nxt] -= 1
+                if in_degree[nxt] == 0:
+                    ready.append(nxt)
+        unpeeled = {n: succ[n] for n, d in in_degree.items() if d}
+        if not unpeeled:
+            return []
+        return cycle_witnesses(unpeeled, strong_components(unpeeled))
 
     def as_vertex_set(self) -> VertexSet:
         return VertexSet.make(self.core, {rid: 0 for rid in self.ray_ids})
@@ -352,7 +375,14 @@ def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
     """Cycle/path conditions: (1) every cycle meets g0, then (b'),(c'),(d'),(a')."""
     _check_g0(g, g0)
     violations = _ambient_violations(g, g0)
-    bad_cycles = [c for c in simple_cycles(g) if not any(g0.contains_node(parse_ref(g, r)) for r in c)]
+    # (1): a cycle avoiding g0 lies in a cyclic strong component of the
+    # search graph with g0's nodes deleted
+    avoiding = {
+        n: tuple(m for m in targets if not g0.contains_node(m))
+        for n, targets in search_graph(g).items()
+        if not g0.contains_node(n)
+    }
+    bad_cycles = cycle_witnesses(avoiding, strong_components(avoiding))
     violations.extend(Violation("T_CYCLE", cycle=c) for c in bad_cycles)
     if bad_cycles:
         return _verdict(violations)
@@ -402,22 +432,26 @@ def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
 
 
 def _two_path_nodes(t: SubgraphT, t_inf: frozenset[Node]) -> set[Node]:
-    """Fixpoint of: node has >= 2 slots into t_inf, or its unique slot leads to one."""
-    can_two: set[Node] = set()
-    for n in t_inf:
-        slots = [(m, mult) for m, mult in t.out_nodes(n) if m in t_inf]
-        if _slot_count(slots) >= 2:
-            can_two.add(n)
-    changed = True
-    while changed:
-        changed = False
-        for n in t_inf:
-            if n in can_two:
-                continue
-            slots = [(m, mult) for m, mult in t.out_nodes(n) if m in t_inf]
-            if len(slots) == 1 and slots[0][0] in can_two:
-                can_two.add(n)
-                changed = True
+    """Least set holding every node with >= 2 slots into t_inf and every node
+    whose unique slot leads into the set.
+
+    A node outside the seeds has at most one slot, so the set is every node
+    reaching a seed inside t_inf: one reverse search, linear in the slots.
+    Predecessors come from the out-slots, which wrap the spine edge into a
+    ray's cycle class.
+    """
+    slots = {n: [(m, mult) for m, mult in t.out_nodes(n) if m in t_inf] for n in t_inf}
+    preds: dict[Node, list[Node]] = {n: [] for n in t_inf}
+    for n, out in slots.items():
+        for m, _ in out:
+            preds[m].append(n)
+    can_two = {n for n, out in slots.items() if _slot_count(out) >= 2}
+    work = list(can_two)
+    while work:
+        for p in preds[work.pop()]:
+            if p not in can_two:
+                can_two.add(p)
+                work.append(p)
     return can_two
 
 

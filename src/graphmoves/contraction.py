@@ -165,7 +165,7 @@ def _require_acyclic_T(t: SubgraphT) -> None:
     if cycles:
         raise GraphError(
             "T_NOT_ACYCLIC",
-            f"complement subgraph has {len(cycles)} cycle(s), e.g. {' -> '.join(cycles[0])}",
+            f"complement subgraph has {len(cycles)} cyclic component(s), e.g. {' -> '.join(cycles[0])}",
             cycles=[list(c) for c in cycles],
         )
 

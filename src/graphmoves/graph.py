@@ -17,11 +17,10 @@ vertex is either a core id (str) or a spine position (ray id, index) pair;
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
-
-import networkx as nx
 
 from .errors import GraphError
 from .multiplicity import Mult, OMEGA, ONE, ZERO, msum
@@ -72,14 +71,14 @@ class Graph:
         seen: set[str] = set()
         for v in self.vertices:
             if not v:
-                raise GraphError("DUPLICATE_ID", "empty vertex id")
+                raise GraphError("PARSE_ERROR", "empty vertex id")
             if v in seen:
                 raise GraphError("DUPLICATE_ID", f"vertex id {v!r} repeats", vertex=v)
             seen.add(v)
         ray_ids: set[str] = set()
         for r in self.rays:
             if not r.id or "." in r.id:
-                raise GraphError("DUPLICATE_ID", f"invalid ray id {r.id!r}", ray=r.id)
+                raise GraphError("PARSE_ERROR", f"invalid ray id {r.id!r}", ray=r.id)
             if r.id in ray_ids or r.id in seen:
                 raise GraphError("DUPLICATE_ID", f"ray id {r.id!r} repeats", ray=r.id)
             ray_ids.add(r.id)
@@ -247,7 +246,7 @@ class VertexSet:
         states = tuple(sorted((ray_states or {}).items()))
         for rid, k in states:
             if k < 0:
-                raise GraphError("UNKNOWN_VERTEX", f"negative ray suffix index {k} for {rid}", ray=rid)
+                raise GraphError("BAD_ARGUMENT", f"negative ray suffix index {k} for {rid}", ray=rid)
         return VertexSet(frozenset(core), states)
 
     @cached_property
@@ -454,38 +453,139 @@ def reachable_set(g: Graph, frm: VertexSet) -> VertexSet:
     return VertexSet.make(core | set(frm.core), states)
 
 
-def simple_cycles(g: Graph, restrict_to: VertexSet | None = None) -> list[tuple[str, ...]]:
-    """Representative simple cycles inside restrict_to, canonically ordered.
+def search_graph(g: Graph, restrict_to: VertexSet | None = None) -> dict[Node, tuple[Node, ...]]:
+    """The finite graph every cycle question runs on, as a successor map.
 
-    A cycle visiting spine positions beyond one full period has a shorter twin
-    exiting within the first period, so the search graph truncates each ray
-    after period_bound positions without losing emptiness-exactness.  Cycles
-    re-enter a ray only at x0, so rays whose x0 lies outside restrict_to
-    cannot carry a cycle at all.
+    Nodes are restrict_to's core vertices in vertex order, then positions
+    0 .. period_bound-1 of each ray whose x0 lies in restrict_to.  A cycle
+    visiting spine positions beyond one full period has a shorter twin
+    exiting within the first period, so each ray is cut after period_bound
+    positions, with no edge back into its cycle.  Cycles re-enter a ray only
+    at x0, so rays whose x0 lies outside restrict_to cannot carry a cycle at
+    all.  Parallel records give one successor, in first-record order.
     """
     restrict = restrict_to if restrict_to is not None else full_vertex_set(g)
     check_membership_args(g, restrict)
-    dig = nx.DiGraph()
-    for v in g.vertices:
-        if v in restrict.core:
-            dig.add_node(v)
+    succ: dict[Node, dict[Node, None]] = {v: {} for v in g.vertices if v in restrict.core}
     usable_rays = [r for r in g.rays if restrict.ray_state(r.id) == 0]
     for r in usable_rays:
         for j in range(r.period_bound):
-            dig.add_node((r.id, j))
+            succ[(r.id, j)] = {}
     for src, dst, _ in g.edges:
-        if dig.has_node(src) and dig.has_node(dst):
-            dig.add_edge(src, dst)
+        if src in succ and dst in succ:
+            succ[src][dst] = None
     for r in usable_rays:
         for u, _ in r.entry:
-            if dig.has_node(u):
-                dig.add_edge(u, (r.id, 0))
+            if u in succ:
+                succ[u][(r.id, 0)] = None
         for j in range(r.period_bound):
+            here = succ[(r.id, j)]
             if j + 1 < r.period_bound:
-                dig.add_edge((r.id, j), (r.id, j + 1))
+                here[(r.id, j + 1)] = None
             for dst, _ in r.targets(j):
-                if dig.has_node(dst):
-                    dig.add_edge((r.id, j), dst)
+                if dst in succ:
+                    here[dst] = None
+    return {n: tuple(targets) for n, targets in succ.items()}
+
+
+def strong_components(succ: Mapping[Node, tuple[Node, ...]]) -> list[list[Node]]:
+    """The strongly connected components of succ that carry a cycle: two or
+    more nodes, or one node with a self-loop.
+
+    Tarjan's algorithm with an explicit stack of (node, successor iterator)
+    frames, so it runs in linear time and never recurses.  Every successor
+    must itself be a key of succ.
+    """
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    stack: list[Node] = []
+    on_stack: set[Node] = set()
+    components: list[list[Node]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            node, pending = frames[-1]
+            for nxt in pending:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    frames.append((nxt, iter(succ[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1 or node in succ[node]:
+                        components.append(component)
+    return components
+
+
+def cycle_witnesses(
+    succ: Mapping[Node, tuple[Node, ...]], components: list[list[Node]]
+) -> list[tuple[str, ...]]:
+    """One shortest cycle per cyclic component, sorted by (length, refs).
+
+    Each cycle runs through its component's smallest ref and starts there,
+    which is the rotation simple_cycles lists it in.  One breadth-first
+    search inside the component finds it: the first dequeued node with an
+    edge back to the start closes a shortest cycle through it.
+    """
+    out = []
+    for component in components:
+        members = set(component)
+        start = min(component, key=node_ref)
+        parent: dict[Node, Node | None] = {start: None}
+        queue = deque([start])
+        last = None
+        while last is None:
+            node = queue.popleft()
+            for nxt in succ[node]:
+                if nxt == start:
+                    last = node
+                    break
+                if nxt in members and nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        refs = []
+        while last is not None:
+            refs.append(node_ref(last))
+            last = parent[last]
+        out.append(tuple(reversed(refs)))
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
+
+def simple_cycles(g: Graph, restrict_to: VertexSet | None = None) -> list[tuple[str, ...]]:
+    """Every simple cycle of search_graph(g, restrict_to), canonically ordered.
+
+    A cycle's refs start at its smallest ref; the list is sorted by (length,
+    refs).  Its length can grow exponentially with the graph, so the checkers
+    and contract never call this; they decide acyclicity in linear time.
+    """
+    import networkx as nx  # the one caller of networkx; loaded on first use
+
+    succ = search_graph(g, restrict_to)
+    dig = nx.DiGraph()
+    for node in succ:
+        dig.add_node(node)
+    dig.add_edges_from((node, nxt) for node, targets in succ.items() for nxt in targets)
     cycles = []
     for nodes in nx.simple_cycles(dig):
         refs = [node_ref(n) for n in nodes]

@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import graphmoves
 from graphmoves.cli import main
 from graphmoves.fixtures import fix_b2
 from graphmoves.graph import graphs_equal
@@ -245,3 +249,12 @@ def test_cli_outputs_reparse_canonically(capsys):
     # serialized CLI output is the canonical form: parse + serialize is stable
     code, out, _ = run(capsys, "contract", fx("fix_b2"), "--g0", "v,w")
     assert serialize_graph(parse_graph(out)) == out
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # only graph.simple_cycles needs networkx, and no command calls it
+    code = "import sys, graphmoves.cli; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphmoves.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

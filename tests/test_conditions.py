@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from graphmoves.conditions import (
+    _two_path_nodes,
     check_proposition,
     check_theorem,
     induced_T,
@@ -358,3 +360,55 @@ def test_inf_nodes_match_fixpoint_on_random_instances():
         assert t.inf_nodes == _inf_nodes_fixpoint(t), g0.render()
         nonempty += bool(t.inf_nodes)
     assert nonempty > 100
+
+
+# ---------------------------------------------------------------------------
+# two-path marking (proposition route, condition a')
+
+
+def _slot_total(slots):
+    return sum(2 if m.is_omega else m.n for _, m in slots)
+
+
+def _two_path_fixpoint(t, t_inf):
+    """The definition: >= 2 slots into t_inf, or a unique slot into a marked node."""
+    slots = {n: [(m, mult) for m, mult in t.out_nodes(n) if m in t_inf] for n in t_inf}
+    marked = {n for n, out in slots.items() if _slot_total(out) >= 2}
+    changed = True
+    while changed:
+        changed = False
+        for n in t_inf - marked:
+            if len(slots[n]) == 1 and slots[n][0][0] in marked:
+                marked.add(n)
+                changed = True
+    return marked
+
+
+def test_two_path_nodes_match_fixpoint_on_random_instances():
+    nonempty = 0
+    for g, g0 in _instances(800, omega_probability=0.3, ray_range=(0, 3), cycle_range=(1, 3)):
+        t = induced_T(g, g0)
+        region = t.inf_nodes
+        assert _two_path_nodes(t, region) == _two_path_fixpoint(t, region), g0.render()
+        nonempty += bool(_two_path_nodes(t, region))
+    assert nonempty > 100
+
+
+def test_long_chain_into_two_rays_marks_the_whole_chain():
+    n = 10_000
+    chain = [f"c{i}" for i in range(n)]
+    g = build_graph({
+        "vertices": ["v", "w", *chain],
+        "edges": [_edge("v", "c0")] + [_edge(a, b) for a, b in zip(chain, chain[1:])],
+        "rays": [_unit_ray("R", chain[-1], "w"), _unit_ray("S", chain[-1], "w")],
+    })
+    t = induced_T(g, VW)
+    start = time.perf_counter()
+    marked = _two_path_nodes(t, t.inf_nodes)
+    elapsed = time.perf_counter() - start
+    assert marked == set(chain)
+    assert elapsed < 5.0  # the quadratic fixpoint needs minutes here
+    for verdict in both(g, VW):
+        assert verdict.kinds() == ("COND_A",)
+        (a,) = verdict.violations
+        assert (a.prefix1, a.prefix2) == (("v", *chain, "R.x0"), ("v", *chain, "S.x0"))

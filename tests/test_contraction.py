@@ -141,8 +141,8 @@ def test_contract_runs_one_cycle_search(monkeypatch):
     from graphmoves import conditions
 
     calls = []
-    real = conditions.simple_cycles
-    monkeypatch.setattr(conditions, "simple_cycles", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = conditions.search_graph
+    monkeypatch.setattr(conditions, "search_graph", lambda *a, **k: calls.append(1) or real(*a, **k))
     g = fix_b2()
     for mode in ("checked", "unchecked"):
         calls.clear()

@@ -63,6 +63,25 @@ def test_non_string_ids_are_parse_errors():
     assert err.value.code == "PARSE_ERROR"
 
 
+def test_empty_vertex_id_is_a_parse_error():
+    with pytest.raises(GraphError) as err:
+        build_graph({"vertices": ["a", ""], "edges": []})
+    assert err.value.code == "PARSE_ERROR"
+
+
+@pytest.mark.parametrize("rid", ["", "L.x"])
+def test_empty_or_dotted_ray_id_is_a_parse_error(rid):
+    with pytest.raises(GraphError) as err:
+        build_graph({"vertices": ["a"], "edges": [], "rays": [{"id": rid, "entry": [], "prefix": [], "cycle": [[]]}]})
+    assert err.value.code == "PARSE_ERROR"
+
+
+def test_negative_ray_suffix_index_is_a_bad_argument():
+    with pytest.raises(GraphError) as err:
+        VertexSet.make({"v"}, {"L": -1})
+    assert err.value.code == "BAD_ARGUMENT"
+
+
 def test_negative_edge_multiplicity_is_a_parse_error():
     with pytest.raises(GraphError) as err:
         build_graph({"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "mult": -1}]})
