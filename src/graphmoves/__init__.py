@@ -21,6 +21,7 @@ from .contraction import (
     PathFamily,
     ck_expand,
     contract,
+    count_Bv,
     enumerate_Bv,
 )
 from .errors import GraphError
@@ -93,6 +94,7 @@ __all__ = [
     "ck_expand",
     "closure_SH",
     "contract",
+    "count_Bv",
     "desingularize",
     "detect_tails",
     "enumerate_Bv",

@@ -17,6 +17,7 @@ T through T-internal edges.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,29 +102,49 @@ class SubgraphT:
         return frozenset(marked)
 
     @cached_property
-    def cycles(self) -> list[tuple[str, ...]]:
-        """Cycle witnesses inside T; empty exactly when T is acyclic.
+    def search(self) -> dict[Node, tuple[Node, ...]]:
+        """T's search graph: T core vertices, then positions below period_bound."""
+        return search_graph(self.graph, self.as_vertex_set())
 
-        A Kahn peel of T's search graph decides: T is acyclic when every node
-        peels.  Otherwise the unpeeled nodes, which are closed under
-        successors, hold every cyclic strong component, and each such
-        component gives its one shortest cycle through its smallest ref
-        (`cycle_witnesses`), so the list has at most |T| entries.
+    @cached_property
+    def peel_order(self) -> list[Node]:
+        """The search-graph nodes a Kahn peel removes, in removal order.
+
+        A node is removed once all its predecessors are, so the list is a
+        topological order of what it holds; it holds every node exactly when
+        T is acyclic.
         """
-        succ = search_graph(self.graph, self.as_vertex_set())
+        succ = self.search
         in_degree = dict.fromkeys(succ, 0)
         for targets in succ.values():
             for nxt in targets:
                 in_degree[nxt] += 1
         ready = [n for n, d in in_degree.items() if d == 0]
+        order = []
         while ready:
-            for nxt in succ[ready.pop()]:
+            node = ready.pop()
+            order.append(node)
+            for nxt in succ[node]:
                 in_degree[nxt] -= 1
                 if in_degree[nxt] == 0:
                     ready.append(nxt)
-        unpeeled = {n: succ[n] for n, d in in_degree.items() if d}
-        if not unpeeled:
+        return order
+
+    @cached_property
+    def cycles(self) -> list[tuple[str, ...]]:
+        """Cycle witnesses inside T; empty exactly when T is acyclic.
+
+        T is acyclic when the peel removes every node.  Otherwise the
+        unpeeled nodes, which are closed under successors, hold every cyclic
+        strong component, and each such component gives its one shortest
+        cycle through its smallest ref (`cycle_witnesses`), so the list has at
+        most |T| entries.
+        """
+        succ = self.search
+        if len(self.peel_order) == len(succ):
             return []
+        peeled = set(self.peel_order)
+        unpeeled = {n: targets for n, targets in succ.items() if n not in peeled}
         return cycle_witnesses(unpeeled, strong_components(unpeeled))
 
     def as_vertex_set(self) -> VertexSet:
@@ -270,17 +291,18 @@ def _cond_a(g: Graph, t: SubgraphT, src: Node, inf: frozenset[Node]) -> Violatio
     # single forced entry; search the reachable inf-region for a branch node
     start = first[0][0]
     parent: dict[Node, Node | None] = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         inf_slots = [(n, m) for n, m in t.out_nodes(node) if n in inf]
         if _slot_count(inf_slots) >= 2:
-            stem = [node_ref(node)]
-            back = node
-            while parent[back] is not None:
+            stem = []
+            back: Node | None = node
+            while back is not None:
+                stem.append(node_ref(back))
                 back = parent[back]
-                stem.insert(0, node_ref(back))
-            stem.insert(0, v)
+            stem.append(v)
+            stem.reverse()
             return _branch(stem, inf_slots)
         for n, _ in inf_slots:
             if n not in parent:
@@ -477,7 +499,7 @@ def validate_witness(g: Graph, g0: VertexSet, violation: Violation) -> bool:
         return violation.vertex in singularities(g) and violation.vertex not in g0.core
     if kind == "T_CYCLE":
         refs = violation.cycle
-        if not refs:
+        if not refs or not all(t.contains(parse_ref(g, ref)) for ref in refs):
             return False
         for i, ref in enumerate(refs):
             nxt = refs[(i + 1) % len(refs)]

@@ -2,20 +2,26 @@
 
 For a graph with distinguished vertex set g0 and complement subgraph T, B_v is
 the set of paths that start at v, end at a g0 vertex, and keep every interior
-range inside T.  When T is acyclic these families are computed exactly: finite
-paths are listed one by one, and paths that climb a ray and exit at a position
-inside the repeating cycle are grouped into infinite families (one family per
-quotient pattern, each standing for countably many paths obtained by inserting
-extra full loops before a climb exit).
+range inside T.  When T is acyclic `enumerate_Bv` computes these families
+exactly: finite paths are listed one by one, and paths that climb a ray and
+exit at a position inside the repeating cycle are grouped into infinite
+families (one family per quotient pattern, each standing for countably many
+paths obtained by inserting extra full loops before a climb exit).
 
-`contract` replaces the graph by g0 with one edge per B-path; `ck_expand`
-recomputes a finite B_v by the leaf-rewriting rule, giving an independent
-cross-check of the enumeration.
+`contract` replaces the graph by g0 with one edge per B-path.  It needs only
+how many B-paths join each pair, so it counts them (`count_Bv`) instead of
+listing them: one pass over T in reverse topological order, in the semiring
+N plus omega, costs time linear in T's slots times the g0 vertices reached,
+however many paths there are.  The per-edge provenance, which does list every
+path, is walked only when it is read.  `enumerate_Bv`, `ck_expand` (which
+recomputes a finite B_v by the leaf-rewriting rule) and `count_Bv` are three
+independent routes to the same counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .conditions import SubgraphT, induced_T, theorem_verdict
@@ -231,12 +237,112 @@ def _walk_Bv(t: SubgraphT, v: str) -> PathFamily:
     return PathFamily(owner=v, finite_part=tuple(finite), infinite_families=tuple(families))
 
 
+# A count of B-paths in N plus omega, as a plain int with None for omega: the
+# counting pass does one such operation per slot and end vertex, where a Mult
+# would allocate and validate a dataclass each time.  An end that is present
+# has count >= 1.
+Count = int | None
+
+
+def _step_counts(acc: dict[Node, Count], tails: Mapping[Node, dict[Node, Count]], slots, climb: bool) -> None:
+    """Add to acc the B-path counts by end node of stepping along slots.
+
+    A slot into g0 ends its paths there; a slot into T continues with that
+    node's tail counts.  A climb exit (out of a ray's cycle class) counts
+    omega, since every further full loop before it gives another path.
+    """
+    for target, mult in slots:
+        m = None if climb else mult.n
+        ends = tails.get(target)
+        if ends is None:  # target lies in g0
+            old = acc.get(target, 0)
+            acc[target] = None if m is None or old is None else old + m
+            continue
+        for end, c in ends.items():
+            old = acc.get(end, 0)
+            acc[end] = None if m is None or c is None or old is None else old + m * c
+
+
+def _tail_counts(t: SubgraphT) -> dict[Node, dict[Node, Count]]:
+    """Per node of the acyclic T, the B-path tails from it counted by end node.
+
+    Nodes are taken in reverse peel order, so each T successor is counted
+    before its predecessors.  A core T node steps along its out-slots; a
+    spine position below period_bound continues up the spine, then exits
+    along its core targets.  A node with one way on, a single-edge step into
+    T or a bare climb, shares that successor's dict, which is never mutated
+    once stored.
+    """
+    g = t.graph
+    tails: dict[Node, dict[Node, Count]] = {}
+    for node in reversed(t.peel_order):
+        if isinstance(node, str):
+            slots = out_slots(g, node)
+            if len(slots) == 1 and slots[0][1].n == 1 and slots[0][0] in tails:
+                tails[node] = tails[slots[0][0]]
+                continue
+            acc: dict[Node, Count] = {}
+            climb = False
+        else:
+            rid, j = node
+            ray = g.ray_map[rid]
+            slots = ray.targets(j)
+            up = tails[(rid, j + 1)] if j + 1 < ray.period_bound else {}
+            if not slots:
+                tails[node] = up
+                continue
+            acc = dict(up)
+            climb = j >= len(ray.prefix)
+        _step_counts(acc, tails, slots, climb)
+        tails[node] = acc
+    return tails
+
+
+def _bv_counts(t: SubgraphT, tails: Mapping[Node, dict[Node, Count]], start: Node) -> Mapping[Node, Count]:
+    """B_start counted by end node: a T spine position starts inside its own
+    tails, any other node takes its out-slots as first steps (as _walk_Bv)."""
+    if isinstance(start, tuple) and start[0] in t.ray_ids:
+        return tails.get(start, {})
+    acc: dict[Node, Count] = {}
+    _step_counts(acc, tails, out_slots(t.graph, start), False)
+    return acc
+
+
+def _mult(c: Count) -> Mult:
+    return OMEGA if c is None else Mult(c)
+
+
+def count_Bv(g: Graph, g0: VertexSet, v: str) -> dict[str, Mult]:
+    """|B_v| per end vertex ref, counted over T without listing a path.
+
+    Sums to enumerate_Bv(g, g0, v).cardinality; the ends are the refs its
+    paths and families end at.
+    """
+    t = induced_T(g, g0)
+    _require_acyclic_T(t)
+    counts = _bv_counts(t, _tail_counts(t), parse_ref(g, v))
+    return {node_ref(end): _mult(c) for end, c in sorted(counts.items(), key=lambda kv: node_ref(kv[0]))}
+
+
 @dataclass(frozen=True)
 class ContractedGraph:
-    """The contraction onto g0, with per-edge path provenance."""
+    """The contraction onto g0; its per-edge path provenance is walked from T
+    on first read, since it lists every B-path."""
 
     graph: Graph
-    provenance: Mapping[tuple[str, str], tuple]
+    t: SubgraphT = field(repr=False, compare=False)
+
+    @cached_property
+    def provenance(self) -> Mapping[tuple[str, str], tuple]:
+        """(source, end ref) -> the B-path records behind that edge or entry."""
+        provenance: dict[tuple[str, str], list] = {}
+        for u in self.graph.vertices:  # g0's core, in the input's vertex order
+            fam = _walk_Bv(self.t, u)
+            for p in fam.finite_part:
+                _record_path(provenance, u, p.refs, p.count, None)
+            for f in fam.infinite_families:
+                _record_path(provenance, u, f.refs, OMEGA, f)
+        return {k: tuple(v) for k, v in provenance.items()}
 
     def to_record(self) -> dict:
         record = graph_record(self.graph)
@@ -283,14 +389,14 @@ def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
     vertices = tuple(u for u in g.vertices if u in g0.core)
     edge_mult: dict[tuple[str, str], Mult] = {}
     entry_mult: dict[tuple[str, str], Mult] = {}  # (source, ray id)
-    provenance: dict[tuple[str, str], list] = {}
-
+    tails = _tail_counts(t)
     for u in vertices:
-        fam = _walk_Bv(t, u)
-        for p in fam.finite_part:
-            _record_path(edge_mult, entry_mult, provenance, g, u, p.refs, p.count, None)
-        for f in fam.infinite_families:
-            _record_path(edge_mult, entry_mult, provenance, g, u, f.refs, OMEGA, f)
+        for end, c in _bv_counts(t, tails, u).items():
+            # B-paths into a kept ray stop at its x0
+            if isinstance(end, tuple):
+                entry_mult[(u, end[0])] = _mult(c)
+            else:
+                edge_mult[(u, end)] = _mult(c)
 
     rays = tuple(
         Ray(
@@ -308,26 +414,14 @@ def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
         (s, d, m) for (s, d), m in sorted(edge_mult.items())
     )
     contracted = Graph(vertices=vertices, edges=edges, rays=rays)
-    return ContractedGraph(graph=contracted, provenance={k: tuple(v) for k, v in provenance.items()})
+    return ContractedGraph(graph=contracted, t=t)
 
 
-def _record_path(edge_mult, entry_mult, provenance, g: Graph, src: str, refs, count: Mult, family):
-    end = refs[-1]
-    node = parse_ref(g, end)
-    if isinstance(node, tuple):
-        rid, j = node
-        # B-paths into a kept ray stop at its x0
-        key = (src, rid)
-        entry_mult[key] = entry_mult.get(key, ZERO) + count
-        pkey = (src, end)
-    else:
-        key = (src, end)
-        edge_mult[key] = edge_mult.get(key, ZERO) + count
-        pkey = key
+def _record_path(provenance, src: str, refs, count: Mult, family):
     rec = {"path": list(refs), "count": count.to_json()}
     if family is not None:
         rec["climbs"] = [c.to_record() for c in family.climbs]
-    provenance.setdefault(pkey, []).append(rec)
+    provenance.setdefault((src, refs[-1]), []).append(rec)
 
 
 def ck_expand(g: Graph, g0: VertexSet, v: str) -> dict[tuple[str, ...], Mult]:

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from graphmoves.conditions import (
+    Violation,
+    _cond_a,
     _two_path_nodes,
     check_proposition,
     check_theorem,
@@ -412,3 +414,52 @@ def test_long_chain_into_two_rays_marks_the_whole_chain():
         assert verdict.kinds() == ("COND_A",)
         (a,) = verdict.violations
         assert (a.prefix1, a.prefix2) == (("v", *chain, "R.x0"), ("v", *chain, "S.x0"))
+
+
+def test_long_stem_cond_a_record():
+    # the stem is collected child to parent and reversed once, so a long stem
+    # costs linear time; the record is the one prepending each node gives
+    n = 20_000
+    chain = [f"c{i}" for i in range(n)]
+    g = build_graph({
+        "vertices": ["v", "w", *chain],
+        "edges": [_edge("v", "c0")] + [_edge(a, b) for a, b in zip(chain, chain[1:])],
+        "rays": [_unit_ray("R", chain[-1], "w"), _unit_ray("S", chain[-1], "w")],
+    })
+    t = induced_T(g, VW)
+    start = time.perf_counter()
+    record = _cond_a(g, t, "v", t.inf_nodes).to_record()
+    elapsed = time.perf_counter() - start
+    assert record == {
+        "kind": "COND_A",
+        "vertex": "v",
+        "prefix1": ["v", *chain, "R.x0"],
+        "prefix2": ["v", *chain, "S.x0"],
+        "parallel": False,
+    }
+    assert elapsed < 5.0
+
+
+# ---------------------------------------------------------------------------
+# T_CYCLE witnesses
+
+
+def test_t_cycle_witness_through_g0_is_rejected():
+    # with u in g0 the loop at u meets g0, and both routes pass
+    g, g0 = fix_loop(), VertexSet.make({"u"})
+    for verdict in both(g, g0):
+        assert verdict.passed
+    assert not validate_witness(g, g0, Violation("T_CYCLE", cycle=("u",)))
+    assert validate_witness(g, VertexSet.make(), Violation("T_CYCLE", cycle=("u",)))
+
+
+def test_t_cycle_witnesses_validate_on_random_draws():
+    checked = 0
+    for omega in (0.1, 0.3):
+        for g, g0 in _instances(400, omega_probability=omega, ray_range=(0, 3), cycle_range=(1, 3)):
+            for verdict in both(g, g0):
+                for violation in verdict.violations:
+                    if violation.kind == "T_CYCLE":
+                        assert validate_witness(g, g0, violation), (violation, g0.render())
+                        checked += 1
+    assert checked > 200

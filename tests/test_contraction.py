@@ -1,14 +1,17 @@
+import time
+
 import pytest
 
-from graphmoves.contraction import ck_expand, contract, enumerate_Bv
+from graphmoves.contraction import ck_expand, contract, count_Bv, enumerate_Bv
 from graphmoves.errors import GraphError
 from graphmoves.fixtures import FIXTURES, fix_b2, fix_inf, fix_loop, fix_vi_e, fix_vi_f
 from graphmoves.graph import (
+    Graph,
+    Ray,
     VertexSet,
     build_graph,
     full_vertex_set,
     graphs_equal,
-    out_slots,
     parse_ref,
 )
 from graphmoves.graphio import RandomSpec, generate_random, graph_record
@@ -291,52 +294,165 @@ def test_ck_expand_matches_enumeration_on_random():
 
 
 # ---------------------------------------------------------------------------
-# path-count DP oracle (finite case)
+# three routes to |B_v|: the counting pass, the walk and the rewriting
 
 
-def _dp_counts(g, g0, v):
-    """Weighted and unweighted B_v path counts over the acyclic region T."""
-    memo = {}
+def _unit(g):
+    """g with every record's multiplicity set to 1, so counts count records:
+    its count of B_v is the number of paths enumerate_Bv lists for g."""
+    units = lambda pairs: tuple((x, ONE) for x, _ in pairs)
+    return Graph(
+        vertices=g.vertices,
+        edges=tuple((s, d, ONE) for s, d, _ in g.edges),
+        rays=tuple(
+            Ray(r.id, units(r.entry), tuple(map(units, r.prefix)), tuple(map(units, r.cycle)))
+            for r in g.rays
+        ),
+    )
 
-    def f(node):
-        if node in memo:
-            return memo[node]
-        weighted = ZERO
-        plain = 0
-        for target, m in out_slots(g, node):
-            if g0.contains_node(target):
-                weighted = weighted + m
-                plain += 1
-            else:
-                wsub, psub = f(target)
-                weighted = weighted + m * wsub
-                plain += psub
-        memo[node] = (weighted, plain)
-        return memo[node]
 
-    weighted = ZERO
-    plain = 0
-    for target, m in out_slots(g, v):
-        if g0.contains_node(target):
-            weighted = weighted + m
-            plain += 1
-        else:
-            wsub, psub = f(target)
-            weighted = weighted + m * wsub
-            plain += psub
-    return weighted, plain
+def _by_end(fam):
+    """enumerate_Bv's family summed per end ref: finite counts, omega per family."""
+    out = {}
+    for p in fam.finite_part:
+        out[p.refs[-1]] = out.get(p.refs[-1], ZERO) + p.count
+    for f in fam.infinite_families:
+        out[f.refs[-1]] = OMEGA
+    return out
+
+
+def _enumerated_contraction(g, g0):
+    """(edges, ray entries) of the contraction onto g0, assembled from enumerate_Bv."""
+    edges, entries = {}, {}
+    for u in g.vertices:
+        if u in g0.core:
+            for end, m in _by_end(enumerate_Bv(g, g0, u)).items():
+                node = parse_ref(g, end)
+                if isinstance(node, tuple):
+                    entries[(u, node[0])] = m
+                else:
+                    edges[(u, end)] = m
+    return edges, entries
+
+
+def _draws():
+    """1,000 draws with 0-3 rays at omega 0.1 and 0.3, half of them passing."""
+    out = []
+    for omega in (0.1, 0.3):
+        spec = dict(omega_probability=omega, ray_range=(0, 3), cycle_range=(1, 3))
+        out.extend(generate_random(RandomSpec(seed=seed, **spec)) for seed in range(250))
+        out.extend(_passing_instances(250, **spec))
+    return out
 
 
 def test_enumeration_counts_match_dp_on_random():
-    checked = 0
-    for g, g0 in _passing_instances(100, omega_probability=0.0, ray_range=(0, 0)):
+    # three routes to |B_v| (the counting pass, the walk, the rewriting), and
+    # contract in both modes against a contraction assembled from the walk
+    counted = finite = omega = contracted = 0
+    for g, g0 in _draws():
+        try:
+            enumerate_Bv(g, g0, min(g.vertices))
+        except GraphError as err:
+            assert err.code == "T_NOT_ACYCLIC"
+            with pytest.raises(GraphError) as again:
+                count_Bv(g, g0, min(g.vertices))
+            assert again.value.code == "T_NOT_ACYCLIC"
+            continue
         for v in sorted(g0.core):
             fam = enumerate_Bv(g, g0, v)
-            weighted, plain = _dp_counts(g, g0, v)
-            assert fam.cardinality == weighted, (v, g0.render())
-            assert len(fam.finite_part) == plain, (v, g0.render())
-            checked += 1
-    assert checked > 100
+            counts = count_Bv(g, g0, v)
+            assert counts == _by_end(fam), (v, g0.render())
+            assert msum(counts.values()) == fam.cardinality
+            plain = msum(count_Bv(_unit(g), g0, v).values())
+            assert plain == (OMEGA if fam.infinite_families else Mult(len(fam.finite_part)))
+            counted += 1
+            omega += fam.cardinality.is_omega
+            try:
+                leaves = ck_expand(g, g0, v)
+            except GraphError as err:
+                # NONTERMINATING: a leaf climbs a bare T ray (a tail) forever
+                assert err.code in ("BV_EMPTY", "BV_INFINITE", "NONTERMINATING"), err.code
+                continue
+            by_end = {}
+            for refs, m in leaves.items():
+                by_end[refs[-1]] = by_end.get(refs[-1], ZERO) + m
+            assert by_end == counts, (v, g0.render())
+            finite += 1
+        want = _enumerated_contraction(g, g0)
+        for mode in ("checked", "unchecked"):
+            try:
+                out = contract(g, g0, mode).graph
+            except GraphError as err:
+                assert err.code in ("CONDITIONS_FAILED", "G0_CONTAINS_RAY"), err.code
+                continue
+            edges = {(s, d): m for s, d, m in out.edges}
+            entries = {(u, r.id): m for r in out.rays for u, m in r.entry}
+            assert (edges, entries) == want, (mode, g0.render())
+            contracted += 1
+    assert counted > 2000 and finite > 500 and omega > 500 and contracted > 1000
+
+
+def test_count_B_v_starts_like_the_walk():
+    # any start: a g0 vertex, a T core vertex, a T spine position below and
+    # past period_bound (empty, as the walk's), a position of a ray in g0
+    g = fix_vi_e()
+    g0 = VertexSet.make({"v", "w"}, {"R": 0})
+    for ref in ("v", "w", "L.x0", "L.x1", "L.x5", "R.x0", "R.x3"):
+        assert count_Bv(g, g0, ref) == _by_end(enumerate_Bv(g, g0, ref)), ref
+    assert count_Bv(g, g0, "L.x5") == {}
+    assert count_Bv(g, g0, "v") == {"R.x0": ONE, "w": OMEGA}
+
+
+# ---------------------------------------------------------------------------
+# lazy provenance and scaling
+
+
+def test_contract_walks_no_path_until_provenance_is_read(monkeypatch):
+    from graphmoves import contraction
+
+    walked = []
+    real = contraction._walk_Bv
+    monkeypatch.setattr(contraction, "_walk_Bv", lambda t, v: walked.append(v) or real(t, v))
+    out = contract(fix_vi_e(), VW, "unchecked")
+    contract(fix_b2(), VW, "checked").graph
+    assert walked == []
+    assert out.to_record() == {
+        "vertices": ["v", "w"],
+        "edges": [{"src": "v", "dst": "w", "mult": "inf"}],
+        "rays": [],
+        "provenance": {"v->w": [
+            {"path": ["v", "w"], "count": 1},
+            {"path": ["v", "L.x0", "w"], "count": "inf", "climbs": [{"ref_index": 1, "ray": "L", "position": 0}]},
+            {"path": ["v", "R.x0", "w"], "count": "inf", "climbs": [{"ref_index": 1, "ray": "R", "position": 0}]},
+        ]},
+    }
+    assert walked == ["v", "w"]  # one walk per g0 vertex, in vertex order
+    out.to_record()
+    assert walked == ["v", "w"]  # read once, then cached
+
+
+def _diamonds(k):
+    """v, then k diamonds in a row, then w: 2^k B-paths from v to w."""
+    names, edges, prev = ["v", "w"], [], "v"
+    for i in range(k):
+        a, b, join = f"a{i}", f"b{i}", f"j{i}"
+        names += [a, b, join]
+        edges += [(prev, a), (prev, b), (a, join), (b, join)]
+        prev = join
+    edges += [(prev, "w"), ("w", "w")]
+    return build_graph({"vertices": names, "edges": [{"src": s, "dst": d} for s, d in edges]})
+
+
+def test_forty_diamonds_count_without_walking():
+    g = _diamonds(40)
+    start = time.perf_counter()
+    out = contract(g, VW, "checked")
+    elapsed = time.perf_counter() - start
+    assert out.graph.edges == (("v", "w", Mult(2 ** 40)), ("w", "w", ONE))
+    assert elapsed < 1.0  # listing the 2^40 paths would never finish
+    assert count_Bv(g, VW, "v") == {"w": Mult(2 ** 40)}
+    small = contract(_diamonds(6), VW, "checked")
+    assert len(small.provenance[("v", "w")]) == 2 ** 6
 
 
 def test_contract_roundtrip_double_contraction():
