@@ -329,10 +329,10 @@ def theorem_verdict(t: SubgraphT) -> ContractionVerdict:
     reached = _reached_from_g0(g, g0)
 
     # (b): every start of an infinite T-path is reachable from g0
-    for node in sorted(inf, key=node_ref):
-        if node not in reached:
-            witness_ray = node[0] if isinstance(node, tuple) else _some_ray_reached(t, node)
-            violations.append(Violation("COND_B", node_ref(node), ray=witness_ray))
+    unreached = [node for node in sorted(inf, key=node_ref) if node not in reached]
+    if unreached:
+        witness_rays = _nearest_rays(t)
+        violations.extend(Violation("COND_B", node_ref(n), ray=witness_rays[n]) for n in unreached)
 
     # (c): vertices along infinite T-paths receive exactly one edge
     for node in sorted(inf, key=node_ref):
@@ -353,18 +353,24 @@ def theorem_verdict(t: SubgraphT) -> ContractionVerdict:
     return _verdict(violations)
 
 
-def _some_ray_reached(t: SubgraphT, node: Node) -> str:
-    seen = {node}
-    queue = [node]
-    while queue:
-        cur = queue.pop(0)
-        if isinstance(cur, tuple):
-            return cur[0]
-        for nxt, _ in t.out_nodes(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return ""  # unreachable when node is marked infinite
+def _nearest_rays(t: SubgraphT) -> dict[Node, str]:
+    """Per node of the acyclic T reaching a T-ray, the ray at the end of its
+    first shortest T-path to a spine position, first in slot order.
+
+    One pass in reverse peel order, so every successor comes first: a spine
+    position gives its own ray, a core node its first successor's at the
+    least distance.
+    """
+    nearest: dict[Node, tuple[int, str]] = {}
+    for node in reversed(t.peel_order):
+        if isinstance(node, tuple):
+            nearest[node] = (0, node[0])
+            continue
+        ahead = [nearest[n] for n, _ in t.out_nodes(node) if n in nearest]
+        if ahead:
+            distance, ray = min(ahead, key=lambda d_ray: d_ray[0])
+            nearest[node] = (distance + 1, ray)
+    return {n: ray for n, (_, ray) in nearest.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from .graph import (
     Node,
     Ray,
     VertexSet,
+    in_slots,
     node_ref,
-    out_multiplicity,
     out_slots,
     parse_ref,
+    source_nodes,
 )
 from .graphio import graph_record
 from .multiplicity import Mult, OMEGA, ONE, ZERO, msum
@@ -429,19 +430,33 @@ def ck_expand(g: Graph, g0: VertexSet, v: str) -> dict[tuple[str, ...], Mult]:
 
     Starting from the trivial path at v, the first sweep always rewrites; after
     that only leaves ending outside g0 are rewritten, each leaf being replaced
-    by its one-edge extensions.  Dead ends (sinks inside T) drop out.  Returns
-    the leaf multiset, which matches enumerate_Bv's finite part.
+    by its one-edge extensions.  Leaves that can no longer reach g0 drop out:
+    sinks inside T, and climbs of a T ray whose cycle never leads back to g0.
+    Returns the leaf multiset, which matches enumerate_Bv's finite part.
     """
     fam = enumerate_Bv(g, g0, v)
     if fam.cardinality.is_zero:
         raise GraphError("BV_EMPTY", f"B_{v} is empty", vertex=v)
     if fam.cardinality.is_omega:
         raise GraphError("BV_INFINITE", f"B_{v} is infinite", vertex=v)
-    if out_multiplicity(g, parse_ref(g, v)).is_omega:
-        raise GraphError("BV_INFINITE", f"{v} emits infinitely many edges", vertex=v)
 
     t = induced_T(g, g0)
     rounds_max = len(t.core) + sum(g.ray_map[rid].period_bound for rid in t.ray_ids) + 2
+
+    # one reverse search from g0 marks the nodes below period_bound that
+    # reach it; a position past the prefix has the whole cycle ahead of it
+    frontier = source_nodes(g, g0)
+    live = set(frontier)
+    while frontier:
+        for src, _ in in_slots(g, frontier.pop()):
+            if src not in live:
+                live.add(src)
+                frontier.append(src)
+
+    def reaches_g0(node: Node) -> bool:
+        if isinstance(node, tuple):
+            node = (node[0], min(node[1], len(g.ray_map[node[0]].prefix)))
+        return node in live
 
     leaves: dict[tuple[str, ...], Mult] = {(v,): ONE}
 
@@ -456,6 +471,8 @@ def ck_expand(g: Graph, g0: VertexSet, v: str) -> dict[tuple[str, ...], Mult]:
                 continue
             rewrote = True
             for target, m in out_slots(g, node):
+                if not reaches_g0(target):
+                    continue
                 child = refs + (node_ref(target),)
                 nxt[child] = nxt.get(child, ZERO) + cnt * m
         leaves = nxt

@@ -62,14 +62,10 @@ def is_hereditary(g: Graph, h: VertexSet) -> bool:
             return False
     for rid, k in h.rays:
         ray = g.ray_map[rid]
-        for j in range(k, ray.period_bound):
+        # positions from k on: a state inside the cycle has every class ahead
+        for j in range(min(k, len(ray.prefix)), ray.period_bound):
             if not all(dst in h.core for dst, _ in ray.targets(j)):
                 return False
-        if k >= ray.period_bound:
-            # state inside the cycle: all cycle classes must still check out
-            for j in range(len(ray.prefix), ray.period_bound):
-                if not all(dst in h.core for dst, _ in ray.targets(j)):
-                    return False
     return True
 
 

@@ -258,3 +258,18 @@ def test_cli_import_leaves_networkx_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_loads_no_third_party_module():
+    # -S keeps site-packages off the path, so nothing the site hooks load
+    # counts, and a third-party import would fail outright
+    code = (
+        "import sys, graphmoves, graphmoves.cli\n"
+        "from graphmoves.fixtures import fix_loop\n"
+        "assert graphmoves.simple_cycles(fix_loop()) == [('u',)]\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} - set(sys.stdlib_module_names)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphmoves.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['__main__', 'graphmoves']"

@@ -6,6 +6,7 @@ import pytest
 from graphmoves.conditions import (
     Violation,
     _cond_a,
+    _nearest_rays,
     _two_path_nodes,
     check_proposition,
     check_theorem,
@@ -14,7 +15,7 @@ from graphmoves.conditions import (
 )
 from graphmoves.errors import GraphError
 from graphmoves.fixtures import FIXTURES, fix_b2, fix_inf, fix_loop, fix_vi_e, fix_vi_f
-from graphmoves.graph import VertexSet, build_graph, full_vertex_set, vertex_reaches
+from graphmoves.graph import VertexSet, build_graph, full_vertex_set, parse_ref, vertex_reaches
 from graphmoves.graphio import RandomSpec, generate_random
 
 VW = VertexSet.make({"v", "w"})
@@ -362,6 +363,66 @@ def test_inf_nodes_match_fixpoint_on_random_instances():
         assert t.inf_nodes == _inf_nodes_fixpoint(t), g0.render()
         nonempty += bool(t.inf_nodes)
     assert nonempty > 100
+
+
+# ---------------------------------------------------------------------------
+# COND_B witness rays
+
+
+def _some_ray_reached(t, node):
+    """The oracle: a breadth-first search over T's out-slots from node, in
+    slot order, stopping at the first spine position it dequeues."""
+    seen = {node}
+    queue = [node]
+    while queue:
+        cur = queue.pop(0)
+        if isinstance(cur, tuple):
+            return cur[0]
+        for nxt, _ in t.out_nodes(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return ""
+
+
+def test_cond_b_rays_match_the_breadth_first_oracle():
+    compared = records = 0
+    for omega in (0.1, 0.3):
+        spec = dict(omega_probability=omega, core_range=(4, 10), edge_density=0.2, ray_range=(1, 3), cycle_range=(1, 3))
+        for g, g0 in _instances(1500, **spec):
+            t = induced_T(g, g0)
+            if t.cycles:
+                continue
+            nearest = _nearest_rays(t)
+            assert set(nearest) == t.inf_nodes
+            for node in t.inf_nodes:
+                if isinstance(node, str):
+                    assert nearest[node] == _some_ray_reached(t, node), (node, g0.render())
+                    compared += 1
+            for violation in check_theorem(g, g0).violations:
+                if violation.kind == "COND_B":
+                    assert violation.ray == _some_ray_reached(t, parse_ref(g, violation.vertex))
+                    records += 1
+    assert compared > 400 and records > 200
+
+
+def test_long_unreached_chain_into_a_ray_is_linear():
+    # each chain vertex is a COND_B node, so the witness rays must come from
+    # one pass over T: one search per node took over 20 s at this size (2-CPU VM)
+    n = 4000
+    chain = [f"c{i}" for i in range(n)]
+    g = build_graph({
+        "vertices": ["w", *chain],
+        "edges": [_edge(a, b) for a, b in zip(chain, chain[1:])],
+        "rays": [_unit_ray("R", chain[-1], "w")],
+    })
+    start = time.perf_counter()
+    verdict = check_theorem(g, VertexSet.make({"w"}))
+    elapsed = time.perf_counter() - start
+    cond_b = [v for v in verdict.violations if v.kind == "COND_B"]
+    assert [v.vertex for v in cond_b] == sorted(["R.x0", *chain])
+    assert {v.ray for v in cond_b} == {"R"}
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

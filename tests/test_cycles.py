@@ -1,11 +1,12 @@
-"""T_CYCLE decisions and witnesses against a brute-force cycle oracle.
+"""T_CYCLE decisions, witnesses and simple_cycles against brute-force oracles.
 
 The oracle rebuilds the truncated search graph from the graph description
 alone: core vertices outside g0, and positions 0 .. period_bound-1 of every
 ray outside g0, with no edge from the last position back into the ray's
 cycle.  A cycle avoiding g0 exists exactly when some node reaches itself
 there, and its cyclic strong components are the classes of mutual
-reachability among such nodes.
+reachability among such nodes.  With g0 empty it is the graph simple_cycles
+searches, and a plain DFS lists its simple cycles.
 """
 
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import graphmoves
 from graphmoves.conditions import check_proposition, check_theorem, validate_witness
-from graphmoves.graph import VertexSet, build_graph
+from graphmoves.graph import VertexSet, build_graph, simple_cycles
 from graphmoves.graphio import RandomSpec, generate_random, serialize_graph
 
 
@@ -116,6 +117,33 @@ def test_t_cycle_matches_the_brute_force_oracle(instance):
         assert hit == classes  # one witness per cyclic component
         lists.append([v.cycle for v in cycles])
     assert lists[0] == lists[1] == sorted(lists[0], key=lambda c: (len(c), c))
+
+
+def _naive_cycles(succ: dict[str, set[str]]) -> set[tuple[str, ...]]:
+    """Every simple cycle, from its smallest ref: a plain DFS from each start
+    over the nodes above it."""
+    out = set()
+    for start in succ:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            for nxt in succ[path[-1]]:
+                if nxt == start:
+                    out.add(path)
+                elif nxt > start and nxt not in path:
+                    stack.append(path + (nxt,))
+    return out
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_instances())
+def test_simple_cycles_match_a_naive_search(instance):
+    desc, _, _ = instance
+    cycles = simple_cycles(build_graph(desc))
+    assert set(cycles) == _naive_cycles(_truncated_without_g0(desc, set(), set()))
+    assert len(set(cycles)) == len(cycles)
+    assert all(c[0] == min(c) for c in cycles)
+    assert cycles == sorted(cycles, key=lambda c: (len(c), c))
 
 
 def _many_components() -> dict:

@@ -39,6 +39,18 @@ def test_hereditary_saturated_flags():
     assert not is_saturated(fix_b2(), VertexSet.make({"w", "ta", "tb", "t0"}))
 
 
+def test_hereditary_checks_every_cycle_class_past_the_state():
+    # R.x1 emits nothing, but R.x2 (the cycle's first class again) emits to w
+    g = build_graph({
+        "vertices": ["u", "w"],
+        "edges": [],
+        "rays": [{"id": "R", "entry": [{"src": "u"}], "prefix": [], "cycle": [[{"dst": "w"}], []]}],
+    })
+    assert not is_hereditary(g, VertexSet.make(set(), {"R": 1}))
+    assert not is_hereditary(g, VertexSet.make(set(), {"R": 5}))
+    assert is_hereditary(g, VertexSet.make({"w"}, {"R": 1}))
+
+
 def _atoms(g: Graph):
     atoms = [VertexSet.make({v}) for v in g.vertices]
     for r in g.rays:
