@@ -40,6 +40,7 @@ from .graph import (
     parse_ref,
     quotient_bfs,
     quotient_slots,
+    reach,
     search_graph,
     singularities,
     source_nodes,
@@ -92,14 +93,10 @@ class SubgraphT:
         With T acyclic, these are exactly the nodes reaching a full T-ray
         through T-internal edges; every spine node qualifies by climbing.
         """
-        frontier = [n for n in self.nodes if isinstance(n, tuple)]
-        marked: set[Node] = set(frontier)
-        while frontier:
-            for src, _ in in_slots(self.graph, frontier.pop()):
-                if src not in marked and self.contains(src):
-                    marked.add(src)
-                    frontier.append(src)
-        return frozenset(marked)
+        spine = (n for n in self.nodes if isinstance(n, tuple))
+        return frozenset(
+            reach(spine, lambda node: (src for src, _ in in_slots(self.graph, node) if self.contains(src)))
+        )
 
     @cached_property
     def search(self) -> dict[Node, tuple[Node, ...]]:
@@ -384,19 +381,10 @@ def _t_reaching_sets(t: SubgraphT) -> dict[str, set[Node]]:
         for m, _ in t.out_nodes(n):
             if m in preds:
                 preds[m].add(n)
-    out: dict[str, set[Node]] = {}
-    for rid in sorted(t.ray_ids):
-        ray = t.graph.ray_map[rid]
-        frontier = [(rid, j) for j in range(ray.period_bound)]
-        seen = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            for p in preds[cur]:
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-        out[rid] = seen
-    return out
+    return {
+        rid: reach(((rid, j) for j in range(t.graph.ray_map[rid].period_bound)), preds.__getitem__)
+        for rid in sorted(t.ray_ids)
+    }
 
 
 def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
@@ -473,14 +461,7 @@ def _two_path_nodes(t: SubgraphT, t_inf: frozenset[Node]) -> set[Node]:
     for n, out in slots.items():
         for m, _ in out:
             preds[m].append(n)
-    can_two = {n for n, out in slots.items() if _slot_count(out) >= 2}
-    work = list(can_two)
-    while work:
-        for p in preds[work.pop()]:
-            if p not in can_two:
-                can_two.add(p)
-                work.append(p)
-    return can_two
+    return reach((n for n, out in slots.items() if _slot_count(out) >= 2), preds.__getitem__)
 
 
 # ---------------------------------------------------------------------------

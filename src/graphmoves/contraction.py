@@ -35,6 +35,7 @@ from .graph import (
     node_ref,
     out_slots,
     parse_ref,
+    reach,
     source_nodes,
 )
 from .graphio import graph_record
@@ -445,15 +446,9 @@ def ck_expand(g: Graph, g0: VertexSet, v: str) -> dict[tuple[str, ...], Mult]:
 
     # one reverse search from g0 marks the nodes below period_bound that
     # reach it; a position past the prefix has the whole cycle ahead of it
-    frontier = source_nodes(g, g0)
-    live = set(frontier)
-    while frontier:
-        for src, _ in in_slots(g, frontier.pop()):
-            if src not in live:
-                live.add(src)
-                frontier.append(src)
+    live = reach(source_nodes(g, g0), lambda node: (src for src, _ in in_slots(g, node)))
 
-    def reaches_g0(node: Node) -> bool:
+    def is_live(node: Node) -> bool:
         if isinstance(node, tuple):
             node = (node[0], min(node[1], len(g.ray_map[node[0]].prefix)))
         return node in live
@@ -471,7 +466,7 @@ def ck_expand(g: Graph, g0: VertexSet, v: str) -> dict[tuple[str, ...], Mult]:
                 continue
             rewrote = True
             for target, m in out_slots(g, node):
-                if not reaches_g0(target):
+                if not is_live(target):
                     continue
                 child = refs + (node_ref(target),)
                 nxt[child] = nxt.get(child, ZERO) + cnt * m

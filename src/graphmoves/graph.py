@@ -20,13 +20,14 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from .errors import GraphError
 from .multiplicity import Mult, OMEGA, ONE, ZERO, msum
 
 Node = str | tuple[str, int]
 Slot = tuple[Node, Mult]
+Item = TypeVar("Item", bound=Hashable)
 
 _POSITION_RE = re.compile(r"^(.+)\.x(\d+)$")
 
@@ -380,18 +381,21 @@ def is_row_finite(g: Graph) -> bool:
     return not any(out_multiplicity(g, v).is_omega for v in g.vertices)
 
 
-def quotient_bfs(g: Graph, sources: Iterable[Node]) -> set[Node]:
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for succ, _ in quotient_slots(g, node):
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
+def reach(seeds: Iterable[Item], step: Callable[[Item], Iterable[Item]]) -> set[Item]:
+    """The seeds plus everything reached from them, where step(item) yields
+    the items one move away: one worklist search, linear in the moves."""
+    seen = set(seeds)
+    work = list(seen)
+    while work:
+        for nxt in step(work.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
     return seen
+
+
+def quotient_bfs(g: Graph, sources: Iterable[Node]) -> set[Node]:
+    return reach(sources, lambda node: (succ for succ, _ in quotient_slots(g, node)))
 
 
 def source_nodes(g: Graph, vset: VertexSet) -> list[Node]:
@@ -404,41 +408,6 @@ def source_nodes(g: Graph, vset: VertexSet) -> list[Node]:
         nodes.extend((rid, j) for j in range(k, p))
         nodes.extend((rid, p + c) for c in range(len(ray.cycle)))
     return nodes
-
-
-def reaches(g: Graph, frm: VertexSet, to: str) -> bool:
-    """Does some vertex of frm reach the vertex referenced by to?"""
-    check_membership_args(g, frm)
-    target = parse_ref(g, to)
-    if frm.contains_node(target):
-        return True
-    reached = quotient_bfs(g, source_nodes(g, frm))
-    if isinstance(target, str):
-        return target in reached
-    rid, j = target
-    state = frm.ray_state(rid)
-    if state is not None and state <= j:
-        return True
-    # any other route into a spine position passes through the ray's x0 entry
-    return any(u in reached for u, _ in g.ray_map[rid].entry)
-
-
-def vertex_reaches(g: Graph, ref: str, targets: VertexSet) -> bool:
-    """Does the single vertex ref reach some member of targets?"""
-    check_membership_args(g, targets)
-    node = parse_ref(g, ref)
-    if isinstance(node, tuple):
-        rid, j = node
-        node = (rid, g.ray_map[rid].class_of(j))
-    for reached in quotient_bfs(g, [node]):
-        if isinstance(reached, str):
-            if reached in targets.core:
-                return True
-        else:
-            # visiting any spine node allows climbing arbitrarily far up the ray
-            if targets.ray_state(reached[0]) is not None:
-                return True
-    return False
 
 
 def reachable_set(g: Graph, frm: VertexSet) -> VertexSet:
@@ -684,34 +653,39 @@ def detect_tails(g: Graph) -> list[TailWitness]:
             if u in visited or out_multiplicity(g, u) != ONE:
                 break
             if isinstance(head, str):
-                chain.insert(0, head)
+                chain.append(head)
             head = u
             visited.add(u)
-        head_ref = node_ref(head)
-        witnesses.append(TailWitness(head_ref, tuple(chain), ray.id, 0))
+        chain.reverse()
+        witnesses.append(TailWitness(node_ref(head), tuple(chain), ray.id, 0))
     return witnesses
 
 
-def materialize(g: Graph, depth: int) -> Graph:
-    """Finite truncation: cut every ray after spine position depth.
+def unrolled(ray: Ray, depth: int) -> tuple[list[str], list[tuple[str, str, Mult]]]:
+    """Spine positions 0 .. depth of ray as core vertices named "rayid.xk",
+    with their edges: the entry edges, then each position below depth's spine
+    edge and core-target edges.  Position depth is a sink."""
+    names = [f"{ray.id}.x{j}" for j in range(depth + 1)]
+    edges = [(u, names[0], m) for u, m in ray.entry]
+    for j in range(depth):
+        edges.append((names[j], names[j + 1], ONE))
+        edges.extend((names[j], dst, m) for dst, m in ray.targets(j))
+    return names, edges
 
-    The last retained spine vertex keeps its core-target edges but loses its
-    spine edge.  Spine positions become core vertices named "rayid.xk".
+
+def materialize(g: Graph, depth: int) -> Graph:
+    """Finite truncation: every ray unrolled to spine positions 0 .. depth.
+
+    Position depth emits no edge, so it is a sink.
     """
     if depth < 0:
         raise GraphError("BAD_ARGUMENT", f"materialize depth must be nonnegative, got {depth}")
     vertices = list(g.vertices)
     edges = list(g.edges)
     for ray in g.rays:
-        names = [f"{ray.id}.x{j}" for j in range(depth + 1)]
+        names, ray_edges = unrolled(ray, depth)
         vertices.extend(names)
-        for u, m in ray.entry:
-            edges.append((u, names[0], m))
-        for j in range(depth + 1):
-            if j + 1 <= depth:
-                edges.append((names[j], names[j + 1], ONE))
-            for dst, m in ray.targets(j):
-                edges.append((names[j], dst, m))
+        edges.extend(ray_edges)
     return Graph(vertices=tuple(vertices), edges=tuple(edges), rays=())
 
 

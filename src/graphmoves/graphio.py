@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .conditions import check_theorem
 from .errors import GraphError
-from .graph import Graph, VertexSet, build_graph, out_multiplicity, singularities
-from .multiplicity import Mult, OMEGA, ONE
+from .graph import Graph, VertexSet, build_graph, singularities
+from .multiplicity import Mult, OMEGA
 
 
 def parse_graph(text: str) -> Graph:
@@ -36,13 +36,9 @@ def parse_graph(text: str) -> Graph:
         raise GraphError("PARSE_ERROR", f"malformed record: {err}") from err
 
 
-def _mult_key(m: Mult) -> tuple[int, int]:
-    return (1, 0) if m.is_omega else (0, m.n)
-
-
 def _targets_record(positions) -> list:
     return [
-        [{"dst": dst, "mult": m.to_json()} for dst, m in sorted(pos, key=lambda t: (t[0], _mult_key(t[1])))]
+        [{"dst": dst, "mult": m.to_json()} for dst, m in sorted(pos)]
         for pos in positions
     ]
 
@@ -53,14 +49,14 @@ def graph_record(g: Graph) -> dict:
         "vertices": sorted(g.vertices),
         "edges": [
             {"src": src, "dst": dst, "mult": m.to_json()}
-            for src, dst, m in sorted(g.edges, key=lambda e: (e[0], e[1], _mult_key(e[2])))
+            for src, dst, m in sorted(g.edges)
         ],
         "rays": [
             {
                 "id": r.id,
                 "entry": [
                     {"src": src, "mult": m.to_json()}
-                    for src, m in sorted(r.entry, key=lambda t: (t[0], _mult_key(t[1])))
+                    for src, m in sorted(r.entry)
                 ],
                 "prefix": _targets_record(r.prefix),
                 "cycle": _targets_record(r.cycle),
@@ -79,6 +75,11 @@ def serialize_graph(g: Graph) -> str:
 # DOT export
 
 
+def _dot_quote(name: str) -> str:
+    """name as a DOT quoted string: backslashes escaped first, then quotes."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_label(m: Mult) -> str:
     if m.is_omega:
         return ' [label="∞"]'
@@ -90,26 +91,26 @@ def _dot_label(m: Mult) -> str:
 def export_dot(g: Graph, ray_depth: int = 3) -> str:
     """Render to DOT; rays unrolled to ray_depth with a dashed continuation."""
     if ray_depth < 1:
-        raise GraphError("PARSE_ERROR", f"ray depth must be >= 1, got {ray_depth}")
+        raise GraphError("BAD_ARGUMENT", f"ray depth must be >= 1, got {ray_depth}")
     lines = ["digraph G {", "  rankdir=LR;"]
     for v in sorted(g.vertices):
-        lines.append(f'  "{v}";')
-    for src, dst, m in sorted(g.edges, key=lambda e: (e[0], e[1], _mult_key(e[2]))):
-        lines.append(f'  "{src}" -> "{dst}"{_dot_label(m)};')
+        lines.append(f"  {_dot_quote(v)};")
+    for src, dst, m in sorted(g.edges):
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)}{_dot_label(m)};")
     for r in sorted(g.rays, key=lambda r: r.id):
-        names = [f"{r.id}.x{j}" for j in range(ray_depth)]
+        names = [_dot_quote(f"{r.id}.x{j}") for j in range(ray_depth)]
         for name in names:
-            lines.append(f'  "{name}";')
-        more = f"{r.id}.more"
-        lines.append(f'  "{more}" [label="..." shape=plaintext];')
-        for src, m in sorted(r.entry, key=lambda t: (t[0], _mult_key(t[1]))):
-            lines.append(f'  "{src}" -> "{names[0]}"{_dot_label(m)};')
+            lines.append(f"  {name};")
+        more = _dot_quote(f"{r.id}.more")
+        lines.append(f'  {more} [label="..." shape=plaintext];')
+        for src, m in sorted(r.entry):
+            lines.append(f"  {_dot_quote(src)} -> {names[0]}{_dot_label(m)};")
         for j in range(ray_depth):
             nxt = names[j + 1] if j + 1 < ray_depth else more
             style = ";" if j + 1 < ray_depth else " [style=dashed];"
-            lines.append(f'  "{names[j]}" -> "{nxt}"{style}')
-            for dst, m in sorted(r.targets(j), key=lambda t: (t[0], _mult_key(t[1]))):
-                lines.append(f'  "{names[j]}" -> "{dst}"{_dot_label(m)};')
+            lines.append(f"  {names[j]} -> {nxt}{style}")
+            for dst, m in sorted(r.targets(j)):
+                lines.append(f"  {names[j]} -> {_dot_quote(dst)}{_dot_label(m)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -23,8 +23,12 @@ from .graph import (
     full_vertex_set,
     out_multiplicity,
     out_slots,
+    reach,
     reachable_set,
 )
+from .graphio import _dot_quote
+
+MAX_CORE = 20  # enumerate_SH refuses graphs with more core vertices
 
 
 def closure_SH(g: Graph, x: VertexSet) -> VertexSet:
@@ -103,30 +107,22 @@ class SHFamily:
         }
 
 
-def enumerate_SH(g: Graph, max_core: int = 20) -> SHFamily:
+def enumerate_SH(g: Graph) -> SHFamily:
     """Every saturated hereditary subset, found by closing unions with atoms."""
-    if len(g.vertices) > max_core:
+    if len(g.vertices) > MAX_CORE:
         raise GraphError(
             "TOO_LARGE",
-            f"{len(g.vertices)} core vertices exceeds the enumeration bound {max_core}",
-            bound=max_core,
+            f"{len(g.vertices)} core vertices exceeds the enumeration bound {MAX_CORE}",
+            bound=MAX_CORE,
         )
     atoms = [VertexSet.make({v}) for v in g.vertices]
     for r in g.rays:
         atoms.extend(VertexSet.make((), {r.id: k}) for k in range(len(r.prefix) + 1))
 
-    bottom = closure_SH(g, VertexSet.make())
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        s = frontier.pop()
-        for a in atoms:
-            if a.is_subset(s):
-                continue
-            c = closure_SH(g, s.union(a))
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
+    seen = reach(
+        [closure_SH(g, VertexSet.make())],
+        lambda s: (closure_SH(g, s.union(a)) for a in atoms if not a.is_subset(s)),
+    )
 
     members = tuple(sorted(seen, key=lambda vs: (len(vs.core), tuple(sorted(vs.core)), vs.rays)))
     order = tuple(
@@ -150,8 +146,7 @@ def sh_hasse_dot(family: SHFamily) -> str:
     strict = set(family.order)
     lines = ["digraph sh_lattice {", "  rankdir=BT;"]
     for i, m in enumerate(family.members):
-        label = m.render().replace('"', r"\"")
-        lines.append(f'  n{i} [label="{label}"];')
+        lines.append(f"  n{i} [label={_dot_quote(m.render())}];")
     for i, j in sorted(strict):
         if any((i, k) in strict and (k, j) in strict for k in range(len(family.members))):
             continue  # not a covering pair

@@ -25,6 +25,7 @@ from .graph import (
     out_multiplicity,
     out_slots,
     parse_ref,
+    unrolled,
 )
 from .multiplicity import Mult, ONE, ZERO
 
@@ -404,17 +405,12 @@ def tails_to_sinks(g: Graph) -> Graph:
         if r.id not in cut:
             rays.append(r)
             continue
-        keep = cut[r.id]
-        names = [f"{r.id}.x{j}" for j in range(keep)]
-        vertices.extend(names)
-        if keep:
-            for u, m in r.entry:
-                if u not in doomed_core and u not in heads_core:
-                    edges.append((u, names[0], m))
-            for j in range(keep - 1):
-                edges.append((names[j], names[j + 1], ONE))
-                for dst, m in r.targets(j):
-                    edges.append((names[j], dst, m))
+        if cut[r.id]:
+            # the kept positions end at the sink head; no chain vertex or core
+            # head enters this ray, since its one out-edge feeds its own tail
+            names, ray_edges = unrolled(r, cut[r.id] - 1)
+            vertices.extend(names)
+            edges.extend(ray_edges)
     for src, dst, m in g.edges:
         if src in doomed_core or dst in doomed_core:
             continue

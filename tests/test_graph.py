@@ -17,10 +17,9 @@ from graphmoves.graph import (
     out_multiplicity,
     out_slots,
     parse_ref,
-    reaches,
+    reachable_set,
     simple_cycles,
     singularities,
-    vertex_reaches,
 )
 from graphmoves.multiplicity import Mult, OMEGA, ONE
 
@@ -262,16 +261,16 @@ def test_reaches_matches_materialized_bfs():
         refs = list(g.vertices) + [f"{r.id}.x{k}" for r in g.rays for k in range(3)]
         for a in refs:
             for b in g.vertices:
-                got = vertex_reaches(g, a, VertexSet.make({b}))
+                got = b in reachable_set(g, _singleton_set(g, a)).core
                 want = _bfs_oracle(g, depth, [a], [b])
                 assert got == want, (name, a, b)
 
 
 def test_reaches_from_ray_suffix_set():
     g = fix_vi_e()
-    assert reaches(g, VertexSet.make(set(), {"L": 4}), "w")
-    assert not reaches(g, VertexSet.make(set(), {"L": 4}), "v")
-    assert reaches(g, VertexSet.make({"v"}), "w")
+    assert "w" in reachable_set(g, VertexSet.make(set(), {"L": 4})).core
+    assert "v" not in reachable_set(g, VertexSet.make(set(), {"L": 4})).core
+    assert "w" in reachable_set(g, VertexSet.make({"v"})).core
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,8 @@ def test_simple_cycles_are_real_cycles():
             assert len(set(cyc)) == len(cyc), (name, cyc)
             for i, ref in enumerate(cyc):
                 nxt = cyc[(i + 1) % len(cyc)]
-                assert vertex_reaches(g, ref, _singleton_set(g, nxt)), (name, cyc)
+                reached = reachable_set(g, _singleton_set(g, ref))
+                assert not reached.intersection(_singleton_set(g, nxt)).is_empty(), (name, cyc)
 
 
 def _singleton_set(g: Graph, ref: str) -> VertexSet:
@@ -406,3 +406,11 @@ def test_materialize_shape():
     pairs = {(s, d) for s, d, _ in m.edges}
     assert ("L.x0", "L.x1") in pairs
     assert all(not (s == "L.x1" and d.startswith("L.")) for s, d in pairs)
+    # every spine position of fix_vi_e emits to w; all but the last keep it
+    for depth in (0, 1, 3):
+        m = materialize(g, depth)
+        last = {f"{r.id}.x{depth}" for r in g.rays}
+        assert last <= singularities(m)
+        assert not any(src in last for src, _, _ in m.edges)
+        below = {(f"L.x{j}", "w") for j in range(depth)}
+        assert below <= {(s, d) for s, d, _ in m.edges}

@@ -1,12 +1,13 @@
 import json
 import pathlib
+import re
 
 import pytest
 
 from graphmoves.conditions import check_theorem
 from graphmoves.errors import GraphError
 from graphmoves.fixtures import FIXTURES, fix_b2, fix_inf, fix_vi_e
-from graphmoves.graph import graphs_equal, is_row_finite, singularities
+from graphmoves.graph import build_graph, graphs_equal, is_row_finite, singularities
 from graphmoves.graphio import (
     RandomSpec,
     export_dot,
@@ -102,8 +103,33 @@ def test_dot_unrolls_rays_with_dashed_tail():
 
 
 def test_dot_depth_validated():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError) as err:
         export_dot(fix_vi_e(), 0)
+    assert err.value.code == "BAD_ARGUMENT"
+
+
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+_DOT_STATEMENT = re.compile(rf"  ({_DOT_STRING})(?: -> ({_DOT_STRING}))?(?: \[.*\])?;")
+
+
+def _dot_unquote(token: str) -> str:
+    return re.sub(r"\\(.)", r"\1", token[1:-1])
+
+
+def test_dot_quotes_awkward_ids():
+    ids = ['a"b', "c\\", 'd\\"e', "f"]
+    g = build_graph({
+        "vertices": ids,
+        "edges": [{"src": 'a"b', "dst": "c\\"}, {"src": "c\\", "dst": 'd\\"e', "mult": 2}],
+        "rays": [{"id": 'R"', "entry": [{"src": "f"}], "cycle": [[{"dst": 'a"b'}]]}],
+    })
+    lines = export_dot(g, 2).splitlines()
+    names = set()
+    for line in lines[2:-1]:
+        m = _DOT_STATEMENT.fullmatch(line)
+        assert m, line
+        names.update(_dot_unquote(tok) for tok in m.groups() if tok is not None)
+    assert names == {*ids, 'R".x0', 'R".x1', 'R".more'}
 
 
 # ---------------------------------------------------------------------------

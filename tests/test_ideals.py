@@ -1,3 +1,4 @@
+import re
 from itertools import chain, combinations
 
 import pytest
@@ -140,6 +141,14 @@ def test_too_large_guard():
     with pytest.raises(GraphError) as err:
         enumerate_SH(g)
     assert err.value.code == "TOO_LARGE"
+    assert err.value.context == {"bound": 20}
+
+
+def test_hasse_dot_quotes_awkward_ids():
+    g = build_graph({"vertices": ['a"b', "c\\"], "edges": [{"src": 'a"b', "dst": "c\\"}]})
+    family = enumerate_SH(g)
+    labels = re.findall(r'\[label="((?:[^"\\]|\\.)*)"\];', sh_hasse_dot(family))
+    assert [re.sub(r"\\(.)", r"\1", label) for label in labels] == [m.render() for m in family.members]
 
 
 # ---------------------------------------------------------------------------
