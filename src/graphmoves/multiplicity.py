@@ -30,10 +30,6 @@ class Mult:
     def is_zero(self) -> bool:
         return self.n == 0
 
-    @property
-    def is_finite(self) -> bool:
-        return self.n is not None
-
     def __add__(self, other: Mult) -> Mult:
         if self.n is None or other.n is None:
             return OMEGA

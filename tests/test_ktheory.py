@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,15 @@ from graphmoves.errors import GraphError
 from graphmoves.fixtures import fix_b2, fix_esse, fix_inf, fix_loop
 from graphmoves.graph import VertexSet, build_graph, out_multiplicity
 from graphmoves.graphio import RandomSpec, generate_random
-from graphmoves.ktheory import KInvariants, adjacency_matrix, k_theory, smith_normal_form
+from graphmoves.ktheory import (
+    KInvariants,
+    _det,
+    _pivot_column,
+    _verify_snf,
+    adjacency_matrix,
+    k_theory,
+    smith_normal_form,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +100,124 @@ def test_snf_self_check_is_live():
 
     with pytest.raises(RuntimeError):
         _verify_snf(((2,),), ((1,),), ((3,),), ((1,),))
+
+
+def _is_int_matrix(x, rows, cols):
+    return (
+        type(x) is tuple
+        and len(x) == rows
+        and all(type(row) is tuple and len(row) == cols for row in x)
+        and all(type(v) is int for row in x for v in row)
+    )
+
+
+def test_probe_shapes():
+    # perfbench's --trace 1 probe unpacks exactly these shapes
+    for m in (((2, 4, 4), (-6, 6, 12)), ((0, 1), (1, 0)), ((0, 0), (0, 0)), ((1,), (2,), (3,))):
+        r, c = len(m), len(m[0])
+        out = smith_normal_form(m)
+        assert type(out) is tuple and len(out) == 3
+        U, D, V = out
+        assert _is_int_matrix(U, r, r) and _is_int_matrix(D, r, c) and _is_int_matrix(V, c, c), m
+    order, a = adjacency_matrix(fix_esse())
+    assert type(order) is tuple and all(type(v) is str for v in order)
+    assert _is_int_matrix(a, len(order), len(order))
+
+
+def test_snf_ragged_matrix_is_bad_argument():
+    with pytest.raises(GraphError) as err:
+        smith_normal_form(((1, 2), (3,)))
+    assert err.value.code == "BAD_ARGUMENT"
+
+
+def test_snf_matches_sympy_invariant_factors_on_300_random():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(17)
+    singular = 0
+    for trial in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        if trial % 3 == 0:
+            cols = rows
+        bound = rng.choice((1, 3, 20))
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        if trial % 4 == 0 and rows > 1:
+            m[-1] = [x - 2 * y for x, y in zip(m[0], m[rows // 2])]  # a dependent row
+        m = tuple(map(tuple, m))
+        _, d, _ = smith_normal_form(m)
+        got = [d[i][i] for i in range(min(rows, cols))]
+        want = [int(x) for x in invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)]
+        assert got == want, (trial, m)
+        singular += 0 in got
+    assert singular >= 40  # 46 of the 300 draws are singular
+
+
+def _dense_sink_free(rng, n):
+    # the perfbench k_dense shape: each vertex hits about half the vertices
+    edges = []
+    for src in range(n):
+        targets = [dst for dst in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
+        edges += [{"src": f"d{src}", "dst": f"d{dst}", "mult": rng.randint(1, 3)} for dst in targets]
+    g = build_graph({"vertices": [f"d{i}" for i in range(n)], "edges": edges})
+    _, a = adjacency_matrix(g)
+    return tuple(tuple(a[j][i] - int(i == j) for j in range(n)) for i in range(n))
+
+
+def test_snf_transforms_stay_within_twice_the_determinant_bits():
+    # both nonsingular routes: a cyclic cokernel (d_{n-1} = 1) and the Hermite one
+    rng = random.Random(5)
+    cyclic = other = 0
+    while cyclic < 6 or other < 2:
+        m = _dense_sink_free(rng, rng.randint(30, 50))
+        det_bits = abs(_det(m)).bit_length()
+        if det_bits == 0:
+            continue
+        U, d, V = smith_normal_form(m)
+        bits = max(abs(x).bit_length() for t in (U, V) for row in t for x in row)
+        assert bits <= 2 * det_bits, (len(m), bits, det_bits)
+        if d[-2][-2] == 1:
+            cyclic += 1
+        else:
+            other += 1
+
+
+def test_pivot_column_combines_columns_to_reach_the_block_gcd():
+    # column gcds 3 and 5, block gcd 1: a unit pivot needs a column combination
+    rows = [[6, 0], [3, -5]]
+    j, adds = _pivot_column(rows)
+    col = [row[j] for row in rows]
+    for k, q in adds:
+        col = [x + q * row[k] for x, row in zip(col, rows)]
+    assert adds and math.gcd(*col) == 1
+    assert _pivot_column([[6, 1], [3, -5]]) == (1, [])
+    # the Hermite route takes this case: adj m = [[9, -3], [-4, 2]] has no entry prime to 6
+    U, d, V = smith_normal_form(((2, 3), (4, 9)))
+    assert d == ((1, 0), (0, 6))
+
+
+def test_snf_certificate_rejects_non_unimodular_transforms():
+    # determinant-product clause: m nonsingular, |d_1 d_2| = 12 but |det m| = 6
+    m = ((2, 0), (0, 3))
+    with pytest.raises(RuntimeError, match="not unimodular"):
+        _verify_snf(m, ((1, 0), (0, 2)), ((2, 0), (0, 6)), ((1, 0), (0, 1)))
+    _verify_snf(m, *smith_normal_form(m))
+    # singular clause: det m = 0, so the transform determinants are taken
+    with pytest.raises(RuntimeError, match="not unimodular"):
+        _verify_snf(((0,),), ((2,),), ((0,),), ((1,),))
+    with pytest.raises(RuntimeError, match="not unimodular"):
+        _verify_snf(((1, 2),), ((1,),), ((1, 0),), ((1, -4), (0, 2)))
+    _verify_snf(((1, 2),), *smith_normal_form(((1, 2),)))
+
+
+def test_snf_dense_80_under_two_seconds():
+    m = _dense_sink_free(random.Random(80), 80)
+    start = time.perf_counter()
+    U, d, V = smith_normal_form(m)  # certificate included
+    elapsed = time.perf_counter() - start
+    print(f"dense n=80 SNF with certificate: {elapsed:.3f} s")
+    assert elapsed < 2.0
+    assert math.prod(d[i][i] for i in range(80)) == abs(_det(m)) != 0
 
 
 def test_snf_large_entries():
