@@ -5,31 +5,27 @@ cheap necessary-condition probe: compute before and after, compare.  The
 formula used is the standard one for a finite row-finite graph with no sinks:
 K0 = coker(A^t - I) and K1 = ker(A^t - I), read off the Smith normal form.
 
-smith_normal_form keeps U and V about as small as det m when m is square and
-nonsingular, as A^t - I is for every graph with a finite K0.  Both routes for
-such an m start from the adjugate, adj m = det m * m^-1, which bounds U:
-
-- When coker m is cyclic, D = diag(1, ..., 1, |det m|) (the usual case), adj
-  m has rank one modulo det m.  One of its columns, scaled modulo det m, is a
-  kernel vector v of m modulo det m; V is the identity with one column
-  replaced by v, and U = D V^-1 m^-1 is read off adj m.
-- Otherwise row operations alone bring m to Hermite form H = U m V: a
-  Euclidean pass down each pivot column, chosen to have the gcd of the whole
-  remaining block, then each entry above a pivot reduced modulo it (Kannan
-  and Bachem 1979 bound Hermite and Smith forms the same way).  V is a column
-  permutation up to a few small column combinations, and U = H V^-1 adj m /
-  det m.  The pivots are 1 but in a few trailing columns, column operations
-  clear the unit rows there, and the small block left goes through the
-  classical elimination below.
-- Singular and non-square matrices go through classical elimination around
-  the least nonzero entry, whose transforms can grow far beyond m.
+smith_normal_form keeps U and V small for a square nonsingular m, as A^t - I
+is for every graph with a finite K0.  Row operations alone bring such an m to
+Hermite form H = U m V: a Euclidean pass down each pivot column, chosen to
+have the gcd of the whole remaining block, then each entry above a pivot
+reduced modulo it (Kannan and Bachem 1979 bound Hermite and Smith forms the
+same way).  V is a column permutation up to a few small column combinations,
+and U = H V^-1 adj m / det m, read off the adjugate adj m = det m * m^-1.
+The pivots are 1 but in a few trailing columns; column operations clear the
+unit rows there, and the trailing block of non-unit pivots goes through the
+classical elimination below.  U and V stay near det m in bit length when that
+block is small; on dense random m it has one column per invariant factor
+other than 1, which is one or two columns for most of them.  Singular and
+non-square matrices go through the classical elimination alone, around the
+least nonzero entry, whose transforms can grow far beyond m.
 
 Every smith_normal_form call re-verifies its own output, so a wrong answer
 cannot escape silently: U m V = D by a full integer product, D diagonal with
-each entry dividing the next, and U, V unimodular.  For a nonsingular square m
-the last follows from |d_1 ... d_n| = |det m|, because det U det m det V =
-det D for integer matrices U and V; otherwise both transform determinants are
-computed.
+each entry dividing the next, and U, V unimodular.  For a square m with
+d_1 ... d_n nonzero the last follows from |d_1 ... d_n| = |det m|, because
+det U det m det V = det D for integer matrices U and V; otherwise both
+transform determinants are computed.
 """
 
 from __future__ import annotations
@@ -88,9 +84,10 @@ def _verify_snf(m: IntMatrix, U, D, V) -> None:
     for a, b in zip(diag, diag[1:]):
         if a < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise RuntimeError("SNF self-check failed: divisibility chain broken")
-    det = _det(m) if len(m) == (len(m[0]) if m else 0) else 0  # U m V = D checked D's shape
-    if det:
-        unimodular = abs(prod(diag)) == abs(det)
+    square = len(m) == (len(m[0]) if m else 0)  # U m V = D checked D's shape
+    p = prod(diag) if square else 0
+    if p:
+        unimodular = abs(p) == abs(_det(m))
     else:
         unimodular = abs(_det(U)) == 1 and abs(_det(V)) == 1
     if not unimodular:
@@ -132,34 +129,6 @@ def _adjugate(m) -> tuple[int, list[list[int]] | None]:
         X[k] = [u // row[k] for u in acc]
     # prev = det(P m) = sign * det m for the row permutation P
     return sign * prev, X if sign == 1 else [[-x for x in row] for row in X]
-
-
-def _snf_cyclic(det: int, adj):
-    """(U, D, V) lists with D = diag(1, ..., 1, |det|), or None.
-
-    Every entry of adj m is a multiple of d_1 ... d_{n-1}, so an entry adj[p][c]
-    prime to d = |det| exists only when coker m is cyclic; None when there is
-    none.  Then adj m has rank one modulo d, and column c scaled by the inverse
-    of adj[p][c] is a kernel vector v of m modulo d with v[p] = 1 and
-    adj_i = v_i adj_p modulo d.  V is the identity with column p replaced by v
-    and moved last, and U = D V^-1 m^-1 has the exact rows (adj_i - v_i adj_p)
-    / det for i != p and, last, adj_p d / det.
-    """
-    n, d = len(adj), abs(det)
-    unit = next(((p, c) for c in range(n) for p in range(n) if gcd(adj[p][c], d) == 1), None)
-    if unit is None:
-        return None
-    p, c = unit
-    w = pow(adj[p][c], -1, d)
-    v = [row[c] * w % d for row in adj]
-    v[p] = 1
-    U = [[(x - v[i] * y) // det for x, y in zip(row, adj[p])] for i, row in enumerate(adj) if i != p]
-    U.append([x * d // det for x in adj[p]])
-    keep = [i for i in range(n) if i != p]
-    V = [[int(r == i) for i in keep] + [v[r]] for r in range(n)]
-    D = [[int(i == j) for j in range(n)] for i in range(n)]
-    D[-1][-1] = d
-    return U, D, V
 
 
 def _pivot_column(rows) -> tuple[int, list[tuple[int, int]]]:
@@ -361,16 +330,14 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     D is diagonal with nonnegative entries, each dividing the next; U and V
     are unimodular.  The identities are re-verified before returning.  For a
-    nonsingular square m the entries of U and V stay near det m in bit length.
+    nonsingular square m whose trailing block of non-unit pivots is small,
+    the entries of U and V stay near det m in bit length.
     """
     nc = len(m[0]) if m else 0
     if any(len(row) != nc for row in m):
         raise GraphError("BAD_ARGUMENT", "ragged matrix")
     det, adj = _adjugate(m) if len(m) == nc else (0, None)
-    if det:
-        snf = _snf_cyclic(det, adj) or _snf_hermite(det, adj, m)
-    else:
-        snf = _snf_pivoting(m)
+    snf = _snf_hermite(det, adj, m) if det else _snf_pivoting(m)
     U, D, V = (_freeze(x) for x in snf)
     _verify_snf(m, U, D, V)
     return U, D, V

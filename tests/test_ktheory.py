@@ -165,7 +165,7 @@ def _dense_sink_free(rng, n):
 
 
 def test_snf_transforms_stay_within_twice_the_determinant_bits():
-    # both nonsingular routes: a cyclic cokernel (d_{n-1} = 1) and the Hermite one
+    # a cyclic cokernel (d_{n-1} = 1, a one-column trailing block) and others
     rng = random.Random(5)
     cyclic = other = 0
     while cyclic < 6 or other < 2:
@@ -191,7 +191,7 @@ def test_pivot_column_combines_columns_to_reach_the_block_gcd():
         col = [x + q * row[k] for x, row in zip(col, rows)]
     assert adds and math.gcd(*col) == 1
     assert _pivot_column([[6, 1], [3, -5]]) == (1, [])
-    # the Hermite route takes this case: adj m = [[9, -3], [-4, 2]] has no entry prime to 6
+    # column gcds 2 and 3: the unit pivot of this SNF needs a column combination
     U, d, V = smith_normal_form(((2, 3), (4, 9)))
     assert d == ((1, 0), (0, 6))
 
@@ -207,6 +207,9 @@ def test_snf_certificate_rejects_non_unimodular_transforms():
         _verify_snf(((0,),), ((2,),), ((0,),), ((1,),))
     with pytest.raises(RuntimeError, match="not unimodular"):
         _verify_snf(((1, 2),), ((1,),), ((1, 0),), ((1, -4), (0, 2)))
+    # a zero diagonal product falls to that clause even for a nonsingular m
+    with pytest.raises(RuntimeError, match="not unimodular"):
+        _verify_snf(((1, 0), (0, 1)), ((1, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (0, 1)))
     _verify_snf(((1, 2),), *smith_normal_form(((1, 2),)))
 
 
