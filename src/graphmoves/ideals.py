@@ -2,9 +2,9 @@
 
 A subset is hereditary when it contains everything its members reach, and
 saturated when it already contains every vertex whose finitely many edges all
-land inside it.  The closure interleaves a reachability pass with saturation
-rounds; on rays the membership states stay in the canonical NONE/ALL_FROM(k)
-shape, with saturation pulling k back one spine position at a time.
+land inside it.  The closure runs a reachability pass, then saturation passes;
+on rays the membership states keep the canonical NONE/ALL_FROM(k) shape, and
+one pass pulls k back past every spine position that saturation forces.
 
 Every saturated hereditary set carries ray states k <= prefix length: a state
 inside the repeating cycle would let hereditarity feed saturation around the
@@ -14,6 +14,7 @@ cycle and drag the state back to the prefix boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GraphError
 from .graph import (
@@ -31,32 +32,37 @@ from .graphio import _dot_quote
 MAX_CORE = 20  # enumerate_SH refuses graphs with more core vertices
 
 
+def _saturate(g: Graph, h: VertexSet) -> VertexSet | None:
+    """h grown by every core vertex and ray position that saturation forces
+    in one pass (a whole forced period forces the rest of the cycle), or None
+    when it forces nothing."""
+    core, states = set(h.core), dict(h.rays)
+    for w in g.vertices:
+        slots = out_slots(g, w)
+        if w in core or not slots or out_multiplicity(g, w).is_omega:
+            continue  # sinks and infinite emitters are never forced
+        if all(dst in core if isinstance(dst, str) else states.get(dst[0]) == 0 for dst, _ in slots):
+            core.add(w)
+    for rid, start in h.rays:
+        ray, k = g.ray_map[rid], start
+        while k and all(dst in core for dst, _ in ray.targets(k - 1)):
+            k -= 1
+            if k == start - len(ray.cycle) > len(ray.prefix):
+                k = len(ray.prefix)
+        states[rid] = k
+    grown = VertexSet.make(core, states)
+    return None if grown == h else grown
+
+
 def closure_SH(g: Graph, x: VertexSet) -> VertexSet:
     """The smallest saturated hereditary set containing x."""
-    check_membership_args(g, x)
-    current = reachable_set(g, x)
-    while True:
-        added = False
-        for w in g.vertices:
-            if w in current.core:
-                continue
-            slots = out_slots(g, w)
-            if not slots or out_multiplicity(g, w).is_omega:
-                continue  # sinks and infinite emitters are never forced
-            if all(current.contains_node(node) for node, _ in slots):
-                current = current.union(VertexSet.make({w}))
-                added = True
-        for r in g.rays:
-            k = current.ray_state(r.id)
-            if k is None or k == 0:
-                continue
-            if all(dst in current.core for dst, _ in r.targets(k - 1)):
-                states = dict(current.ray_states)
-                states[r.id] = k - 1
-                current = VertexSet.make(current.core, states)
-                added = True
-        if not added:
-            return current
+    reached = reachable_set(g, x)
+    # the hereditary closure holds every cycle target, so a state inside the
+    # cycle is forced back to the prefix boundary at once
+    current = VertexSet.make(reached.core, {rid: min(k, len(g.ray_map[rid].prefix)) for rid, k in reached.rays})
+    while (grown := _saturate(g, current)) is not None:
+        current = grown
+    return current
 
 
 def is_hereditary(g: Graph, h: VertexSet) -> bool:
@@ -75,30 +81,25 @@ def is_hereditary(g: Graph, h: VertexSet) -> bool:
 
 def is_saturated(g: Graph, h: VertexSet) -> bool:
     check_membership_args(g, h)
-    for w in g.vertices:
-        if w in h.core:
-            continue
-        slots = out_slots(g, w)
-        if not slots or out_multiplicity(g, w).is_omega:
-            continue
-        if all(h.contains_node(node) for node, _ in slots):
-            return False
-    for r in g.rays:
-        k = h.ray_state(r.id)
-        if k is None or k == 0:
-            continue
-        if all(dst in h.core for dst, _ in r.targets(k - 1)):
-            return False
-    return True
+    return _saturate(g, h) is None
 
 
 @dataclass(frozen=True)
 class SHFamily:
-    """All saturated hereditary subsets, with their inclusion order."""
+    """All saturated hereditary subsets, with the covering pairs of inclusion."""
 
     members: tuple[VertexSet, ...]
-    order: tuple[tuple[int, int], ...]  # (i, j) whenever members[i] < members[j]
+    covers: tuple[tuple[int, int], ...]  # sorted (i, j): members[j] covers members[i]
     nontrivial_count: int
+
+    @cached_property
+    def order(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) whenever members[i] < members[j], read off the covers."""
+        up: dict[int, list[int]] = {}
+        for i, j in self.covers:
+            up.setdefault(i, []).append(j)
+        step = lambda i: up.get(i, ())
+        return tuple((i, j) for i in range(len(self.members)) for j in sorted(reach(step(i), step)))
 
     def to_record(self) -> dict:
         return {
@@ -108,7 +109,8 @@ class SHFamily:
 
 
 def enumerate_SH(g: Graph) -> SHFamily:
-    """Every saturated hereditary subset, found by closing unions with atoms."""
+    """Every saturated hereditary subset, walked up from the bottom along its
+    covers: those of S are the minimal closures of S with one atom outside."""
     if len(g.vertices) > MAX_CORE:
         raise GraphError(
             "TOO_LARGE",
@@ -118,22 +120,20 @@ def enumerate_SH(g: Graph) -> SHFamily:
     atoms = [VertexSet.make({v}) for v in g.vertices]
     for r in g.rays:
         atoms.extend(VertexSet.make((), {r.id: k}) for k in range(len(r.prefix) + 1))
+    covers_of: dict[VertexSet, list[VertexSet]] = {}
 
-    seen = reach(
-        [closure_SH(g, VertexSet.make())],
-        lambda s: (closure_SH(g, s.union(a)) for a in atoms if not a.is_subset(s)),
-    )
+    def up(s: VertexSet) -> list[VertexSet]:
+        above = {closure_SH(g, s.union(a)) for a in atoms if not a.is_subset(s)}
+        covers_of[s] = [c for c in above if not any(b != c and b.is_subset(c) for b in above)]
+        return covers_of[s]
 
+    seen = reach([closure_SH(g, VertexSet.make())], up)
     members = tuple(sorted(seen, key=lambda vs: (len(vs.core), tuple(sorted(vs.core)), vs.rays)))
-    order = tuple(
-        (i, j)
-        for i, a in enumerate(members)
-        for j, b in enumerate(members)
-        if i != j and a != b and a.is_subset(b)
-    )
+    index = {m: i for i, m in enumerate(members)}
+    covers = tuple(sorted((index[s], index[c]) for s, above in covers_of.items() for c in above))
     full = full_vertex_set(g)
     nontrivial = sum(1 for m in members if not m.is_empty() and m != full)
-    return SHFamily(members=members, order=order, nontrivial_count=nontrivial)
+    return SHFamily(members=members, covers=covers, nontrivial_count=nontrivial)
 
 
 def check_fullness(g: Graph, g0: VertexSet) -> bool:
@@ -142,14 +142,10 @@ def check_fullness(g: Graph, g0: VertexSet) -> bool:
 
 
 def sh_hasse_dot(family: SHFamily) -> str:
-    """DOT rendering of the family's Hasse diagram (covering relations only)."""
-    strict = set(family.order)
+    """DOT rendering of the family's Hasse diagram (covering pairs only)."""
     lines = ["digraph sh_lattice {", "  rankdir=BT;"]
     for i, m in enumerate(family.members):
         lines.append(f"  n{i} [label={_dot_quote(m.render())}];")
-    for i, j in sorted(strict):
-        if any((i, k) in strict and (k, j) in strict for k in range(len(family.members))):
-            continue  # not a covering pair
-        lines.append(f"  n{i} -> n{j};")
+    lines.extend(f"  n{i} -> n{j};" for i, j in family.covers)
     lines.append("}")
     return "\n".join(lines) + "\n"
