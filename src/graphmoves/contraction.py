@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .conditions import SubgraphT, induced_T, theorem_verdict
+from .conditions import SubgraphT, _class_node, induced_T, theorem_verdict
 from .errors import GraphError
 from .graph import (
     Graph,
@@ -101,37 +101,12 @@ class InfiniteFamily:
                 out.append(ref)
         return tuple(out)
 
-    def members(self, k: int) -> list[tuple[str, ...]]:
-        """The k members with smallest total extra loops, deterministic order."""
-        out: list[tuple[str, ...]] = []
-        total = 0
-        while len(out) < k:
-            for params in _compositions(total, len(self.climbs)):
-                out.append(self.member(params))
-                if len(out) == k:
-                    break
-            total += 1
-        return out
-
     def to_record(self) -> dict:
         return {
             "refs": list(self.refs),
             "climbs": [c.to_record() for c in self.climbs],
             "base_count": self.base_count.to_json(),
         }
-
-
-def _compositions(total: int, n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, n - 1):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True)
@@ -179,7 +154,11 @@ def _require_acyclic_T(t: SubgraphT) -> None:
 
 
 def enumerate_Bv(g: Graph, g0: VertexSet, v: str) -> PathFamily:
-    """All B-paths from v, grouped into finite paths and infinite families."""
+    """All B-paths from v, grouped into finite paths and infinite families.
+
+    A spine position v starts from its quotient class, so its paths' refs
+    start at the class ref.
+    """
     t = induced_T(g, g0)
     _require_acyclic_T(t)
     return _walk_Bv(t, v)
@@ -195,14 +174,13 @@ def _walk_Bv(t: SubgraphT, v: str) -> PathFamily:
     are pushed in reverse, so paths are found in slot order.
     """
     g, g0 = t.graph, t.g0
-    start = parse_ref(g, v)
+    start = _class_node(g, v)
     finite: list[BvPath] = []
     families: list[InfiniteFamily] = []
     stack: list[tuple[Node, tuple[str, ...], Mult, tuple[tuple[Climb, int], ...]]] = []
 
     if isinstance(start, tuple) and start[0] in t.ray_ids:
-        if start[1] < g.ray_map[start[0]].period_bound:
-            stack.append((start, (), ONE, ()))
+        stack.append((start, (), ONE, ()))
     else:
         # a core vertex or a g0 ray position: its slots are the first steps
         here = (node_ref(start),)
@@ -318,11 +296,12 @@ def count_Bv(g: Graph, g0: VertexSet, v: str) -> dict[str, Mult]:
     """|B_v| per end vertex ref, counted over T without listing a path.
 
     Sums to enumerate_Bv(g, g0, v).cardinality; the ends are the refs its
-    paths and families end at.
+    paths and families end at.  A spine position v counts from its quotient
+    class, as in enumerate_Bv.
     """
     t = induced_T(g, g0)
     _require_acyclic_T(t)
-    counts = _bv_counts(t, _tail_counts(t), parse_ref(g, v))
+    counts = _bv_counts(t, _tail_counts(t), _class_node(g, v))
     return {node_ref(end): _mult(c) for end, c in sorted(counts.items(), key=lambda kv: node_ref(kv[0]))}
 
 
@@ -429,9 +408,10 @@ def _record_path(provenance, src: str, refs, count: Mult, family):
 def ck_expand(g: Graph, g0: VertexSet, v: str) -> dict[tuple[str, ...], Mult]:
     """Recompute a finite B_v by repeatedly rewriting non-g0 leaves.
 
-    Starting from the trivial path at v, the first sweep always rewrites; after
-    that only leaves ending outside g0 are rewritten, each leaf being replaced
-    by its one-edge extensions.  Leaves that can no longer reach g0 drop out:
+    Starting from the trivial path at v's quotient class, as enumerate_Bv
+    does, the first sweep always rewrites; after that only leaves ending
+    outside g0 are rewritten, each leaf being replaced by its one-edge
+    extensions.  Leaves that can no longer reach g0 drop out:
     sinks inside T, and climbs of a T ray whose cycle never leads back to g0.
     Returns the leaf multiset, which matches enumerate_Bv's finite part.
     """
@@ -453,7 +433,7 @@ def ck_expand(g: Graph, g0: VertexSet, v: str) -> dict[tuple[str, ...], Mult]:
             node = (node[0], min(node[1], len(g.ray_map[node[0]].prefix)))
         return node in live
 
-    leaves: dict[tuple[str, ...], Mult] = {(v,): ONE}
+    leaves: dict[tuple[str, ...], Mult] = {(node_ref(_class_node(g, v)),): ONE}
 
     def sweep(first: bool) -> bool:
         nonlocal leaves

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from graphmoves.conditions import induced_T
 from graphmoves.contraction import ck_expand, contract, count_Bv, enumerate_Bv
 from graphmoves.errors import GraphError
 from graphmoves.fixtures import FIXTURES, fix_b2, fix_inf, fix_loop, fix_vi_e, fix_vi_f
@@ -46,11 +47,9 @@ def test_vi_e_families():
     assert fam.cardinality.is_omega
     assert fam.max_length.is_omega
     left = fam.infinite_families[0]
-    assert left.members(3) == [
-        ("v", "L.x0", "w"),
-        ("v", "L.x0", "L.x1", "w"),
-        ("v", "L.x0", "L.x1", "L.x2", "w"),
-    ]
+    assert left.member((0,)) == ("v", "L.x0", "w")
+    assert left.member((1,)) == ("v", "L.x0", "L.x1", "w")
+    assert left.member((2,)) == ("v", "L.x0", "L.x1", "L.x2", "w")
 
 
 def test_parallel_records_keep_slot_order():
@@ -418,13 +417,41 @@ def test_enumeration_counts_match_dp_on_random():
 
 def test_count_B_v_starts_like_the_walk():
     # any start: a g0 vertex, a T core vertex, a T spine position below and
-    # past period_bound (empty, as the walk's), a position of a ray in g0
+    # past period_bound (counted from its class, as the walk), a position of
+    # a ray in g0
     g = fix_vi_e()
     g0 = VertexSet.make({"v", "w"}, {"R": 0})
     for ref in ("v", "w", "L.x0", "L.x1", "L.x5", "R.x0", "R.x3"):
         assert count_Bv(g, g0, ref) == _by_end(enumerate_Bv(g, g0, ref)), ref
-    assert count_Bv(g, g0, "L.x5") == {}
+    assert count_Bv(g, g0, "L.x5") == {"w": OMEGA}
     assert count_Bv(g, g0, "v") == {"R.x0": ONE, "w": OMEGA}
+
+
+def test_late_spine_positions_count_as_their_class():
+    # B_{L.x1} on fix_vi_e climbs L's cycle to w infinitely often, as B_{L.x0}
+    assert count_Bv(fix_vi_e(), VW, "L.x1") == {"w": OMEGA}
+    with pytest.raises(GraphError) as err:
+        ck_expand(fix_vi_e(), VW, "L.x1")
+    assert err.value.code == "BV_INFINITE"
+    cases = [(build(), VertexSet.make(build().vertices)) for build in FIXTURES.values()]
+    seed = 0
+    while len(cases) < 506:
+        g, g0 = generate_random(RandomSpec(seed=seed, ray_range=(1, 3), cycle_range=(1, 3),
+                                           omega_probability=(0.0, 0.1, 0.3)[seed % 3]))
+        seed += 1
+        if not induced_T(g, g0).cycles:  # B-paths are defined for an acyclic T
+            cases.append((g, g0))
+    positions = 0
+    for g, g0 in cases:
+        for r in g.rays:
+            if g0.ray_state(r.id) is not None:
+                continue
+            for j in range(r.period_bound, 2 * r.period_bound + 2):  # below, j is its class
+                ref, cls = f"{r.id}.x{j}", f"{r.id}.x{r.class_of(j)}"
+                assert count_Bv(g, g0, ref) == count_Bv(g, g0, cls), (ref, g0)
+                assert enumerate_Bv(g, g0, ref).cardinality == enumerate_Bv(g, g0, cls).cardinality, ref
+                positions += 1
+    assert positions > 1500
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import time
 from itertools import chain, combinations
 
 import pytest
@@ -119,6 +120,47 @@ def test_order_is_strict_inclusion():
         for j, b in enumerate(fam.members):
             if i != j and a.is_subset(b):
                 assert (i, j) in pairs
+
+
+def _covers_oracle(members):
+    """The covering pairs by the cubic filter over all strict inclusions."""
+    strict = {(i, j) for i, a in enumerate(members) for j, b in enumerate(members) if i != j and a.is_subset(b)}
+    n = len(members)
+    return tuple(sorted(
+        (i, j) for i, j in strict if not any((i, k) in strict and (k, j) in strict for k in range(n))
+    ))
+
+
+def test_covers_match_cubic_filter():
+    for name, build in FIXTURES.items():
+        fam = enumerate_SH(build())
+        assert fam.covers == _covers_oracle(fam.members), name
+    with_rays = 0
+    for seed in range(800):
+        spec = RandomSpec(seed=seed, omega_probability=(0.1, 0.3)[seed % 2], ray_range=(1, 3), cycle_range=(1, 3))
+        g, _ = generate_random(spec)
+        fam = enumerate_SH(g)
+        assert fam.covers == _covers_oracle(fam.members), seed
+        with_rays += bool(g.rays)
+    assert with_rays == 800
+
+
+def test_closure_from_a_far_ray_state_is_immediate():
+    g = fix_vi_e()
+    start = time.perf_counter()
+    far = closure_SH(g, VertexSet.make(set(), {"L": 1_000_000_000}))
+    assert time.perf_counter() - start < 0.1
+    assert far == closure_SH(g, VertexSet.make(set(), {"L": 1}))
+
+
+def test_isolated_vertices_lattice_is_fast():
+    g = build_graph({"vertices": [f"v{i}" for i in range(11)], "edges": []})
+    start = time.perf_counter()
+    family = enumerate_SH(g)
+    dot = sh_hasse_dot(family)
+    assert time.perf_counter() - start < 2.0
+    assert len(family.members) == 2 ** 11
+    assert dot.count("->") == 11 * 2 ** 10  # each member is covered by adding one missing vertex
 
 
 def test_fullness_frozen():
