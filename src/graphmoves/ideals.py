@@ -38,8 +38,10 @@ def _saturate(g: Graph, h: VertexSet) -> VertexSet | None:
     when it forces nothing."""
     core, states = set(h.core), dict(h.rays)
     for w in g.vertices:
+        if w in core:
+            continue
         slots = out_slots(g, w)
-        if w in core or not slots or out_multiplicity(g, w).is_omega:
+        if not slots or out_multiplicity(g, w).is_omega:
             continue  # sinks and infinite emitters are never forced
         if all(dst in core if isinstance(dst, str) else states.get(dst[0]) == 0 for dst, _ in slots):
             core.add(w)
@@ -50,8 +52,9 @@ def _saturate(g: Graph, h: VertexSet) -> VertexSet | None:
             if k == start - len(ray.cycle) > len(ray.prefix):
                 k = len(ray.prefix)
         states[rid] = k
-    grown = VertexSet.make(core, states)
-    return None if grown == h else grown
+    if len(core) == len(h.core) and states == h.ray_states:
+        return None
+    return VertexSet.make(core, states)
 
 
 def closure_SH(g: Graph, x: VertexSet) -> VertexSet:

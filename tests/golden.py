@@ -100,10 +100,6 @@ class Dump:
 # per-layer records
 
 
-def _set_record(vs: VertexSet) -> str:
-    return vs.render()
-
-
 def _contract_record(g: Graph, g0: VertexSet) -> dict:
     out = {}
     for mode in ("checked", "unchecked"):
@@ -136,11 +132,11 @@ def _closure_starts(g: Graph) -> list[VertexSet]:
 
 
 def _closure_record(g: Graph, starts: list[VertexSet]) -> list:
-    return [[_set_record(s), _set_record(gm.closure_SH(g, s))] for s in starts]
+    return [[s.render(), gm.closure_SH(g, s).render()] for s in starts]
 
 
 def _fullness_record(g: Graph, g0: VertexSet) -> dict:
-    return {"closure": _set_record(gm.closure_SH(g, g0)), "full": gm.check_fullness(g, g0)}
+    return {"closure": gm.closure_SH(g, g0).render(), "full": gm.check_fullness(g, g0)}
 
 
 def _ideals_record(g: Graph) -> dict:
@@ -185,7 +181,7 @@ def _skew_record(g: Graph, rng: random.Random) -> dict:
     p = rng.randint(1, 3)
     labels = gm.CocycleLabeling(p, tuple(rng.randrange(p) for _ in g.edges))
     sk = gm.skew_product(g, labels)
-    return {"graph": graph_record(sk), "fiber_zero": _set_record(gm.fiber_zero(sk))}
+    return {"graph": graph_record(sk), "fiber_zero": gm.fiber_zero(sk).render()}
 
 
 def _esse_record(g: Graph, v1: VertexSet, v2: VertexSet) -> list:
@@ -296,7 +292,7 @@ def perfbench_case(dump: Dump, case_id: str, case: dict) -> None:
     elif op == "ideals":
         dump.run("ideals", case_id, _ideals_record, g)
     elif op == "closure":
-        dump.run("closure", case_id, lambda: _set_record(gm.closure_SH(g, vs(a["set"]))))
+        dump.run("closure", case_id, lambda: gm.closure_SH(g, vs(a["set"])).render())
     elif op == "fullness":
         dump.run("closure", case_id, _fullness_record, g, vs(a["g0"]))
     elif op == "tails_to_sinks":

@@ -149,6 +149,8 @@ def test_closure_from_a_far_ray_state_is_immediate():
     g = fix_vi_e()
     start = time.perf_counter()
     far = closure_SH(g, VertexSet.make(set(), {"L": 1_000_000_000}))
+    # a far state of a set holding every cycle target is not saturated
+    assert not is_saturated(g, VertexSet.make({"w"}, {"L": 1_000_000_000}))
     assert time.perf_counter() - start < 0.1
     assert far == closure_SH(g, VertexSet.make(set(), {"L": 1}))
 
