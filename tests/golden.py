@@ -79,15 +79,14 @@ class Dump:
     def add(self, layer: str, case: str, payload: str) -> None:
         self.lines[layer].append(f"{case}\t{payload}")
 
-    def run(self, layer: str, case: str, fn, *args):
-        """Call fn(*args), whose result is a JSON-able record; None on error."""
+    def run(self, layer: str, case: str, fn, *args) -> None:
+        """Record fn(*args), a JSON-able record, or the code of its GraphError."""
         try:
             record = fn(*args)
         except gm.GraphError as err:
             self.add(layer, case, f"error:{err.code}")
-            return None
+            return
         self.add(layer, case, _payload(record))
-        return record
 
     def digests(self) -> dict[str, str]:
         return {
