@@ -230,9 +230,9 @@ def fixture_cases(dump: Dump) -> None:
         all_layers(dump, name, g, g0s, 0)
 
 
-def draw_cases(dump: Dump, count: int = DRAWS) -> None:
+def draw_cases(dump: Dump) -> None:
     omegas = (0.0, 0.1, 0.3)
-    for i in range(count):
+    for i in range(DRAWS):
         spec = gm.RandomSpec(
             seed=i,
             omega_probability=omegas[i % 3],
@@ -318,9 +318,9 @@ def build() -> Dump:
     return dump
 
 
-def read_digests(path: Path = DIGESTS) -> dict[str, str]:
+def read_digests() -> dict[str, str]:
     out = {}
-    for line in path.read_text().splitlines():
+    for line in DIGESTS.read_text().splitlines():
         digest, layer = line.split()
         out[layer] = digest
     return out
