@@ -29,8 +29,10 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import random
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -44,6 +46,7 @@ from graphmoves.graphio import graph_record  # noqa: E402
 
 DIGESTS = Path(__file__).resolve().parent / "golden.sha256"
 DRAWS = 2000
+DRAW_CHUNK = 250
 PERFBENCH_SEEDS = (1, 2, 3)
 PROVENANCE_MAX_VERTICES = 12  # contract records carry provenance up to here
 
@@ -230,9 +233,9 @@ def fixture_cases(dump: Dump) -> None:
         all_layers(dump, name, g, g0s, 0)
 
 
-def draw_cases(dump: Dump) -> None:
+def draw_cases(dump: Dump, seeds: range) -> None:
     omegas = (0.0, 0.1, 0.3)
-    for i in range(DRAWS):
+    for i in seeds:
         spec = gm.RandomSpec(
             seed=i,
             omega_probability=omegas[i % 3],
@@ -302,19 +305,37 @@ def perfbench_case(dump: Dump, case_id: str, case: dict) -> None:
         raise ValueError(f"unknown perfbench op {op!r}")
 
 
-def perfbench_cases(dump: Dump) -> None:
+def perfbench_cases(dump: Dump, seed: int) -> None:
     families = _load_families()
-    for seed in PERFBENCH_SEEDS:
-        for workload in sorted(families.WORKLOADS):
-            for case in families.WORKLOADS[workload](seed):
-                perfbench_case(dump, f"pb{seed}:{workload}:{case['id']}", case)
+    for workload in sorted(families.WORKLOADS):
+        for case in families.WORKLOADS[workload](seed):
+            perfbench_case(dump, f"pb{seed}:{workload}:{case['id']}", case)
+
+
+def _part(part: tuple[str, int]) -> dict[str, list[str]]:
+    """The lines of one slice of the corpus: the fixtures, one perfbench
+    seed, or DRAW_CHUNK draws from a start seed."""
+    kind, arg = part
+    dump = Dump()
+    if kind == "fixtures":
+        fixture_cases(dump)
+    elif kind == "perfbench":
+        perfbench_cases(dump, arg)
+    else:
+        draw_cases(dump, range(arg, min(arg + DRAW_CHUNK, DRAWS)))
+    return dump.lines
 
 
 def build() -> Dump:
+    """The whole corpus, its slices run on two worker processes and their
+    lines joined in corpus order."""
+    parts = [("fixtures", 0)] + [("perfbench", seed) for seed in PERFBENCH_SEEDS]
+    parts += [("draws", start) for start in range(0, DRAWS, DRAW_CHUNK)]
     dump = Dump()
-    fixture_cases(dump)
-    perfbench_cases(dump)
-    draw_cases(dump)
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for lines in pool.map(_part, parts):
+            for layer, part_lines in lines.items():
+                dump.lines[layer].extend(part_lines)
     return dump
 
 
