@@ -433,7 +433,7 @@ def test_late_spine_positions_count_as_their_class():
     with pytest.raises(GraphError) as err:
         ck_expand(fix_vi_e(), VW, "L.x1")
     assert err.value.code == "BV_INFINITE"
-    cases = [(build(), VertexSet.make(build().vertices)) for build in FIXTURES.values()]
+    cases = [(g, VertexSet.make(g.vertices)) for g in (build() for build in FIXTURES.values())]
     seed = 0
     while len(cases) < 506:
         g, g0 = generate_random(RandomSpec(seed=seed, ray_range=(1, 3), cycle_range=(1, 3),
