@@ -29,7 +29,7 @@ from .graph import (
 )
 from .graphio import _dot_quote
 
-MAX_CORE = 20  # enumerate_SH refuses graphs with more core vertices
+MAX_MEMBERS = 4096  # enumerate_SH refuses a graph with more saturated hereditary subsets
 
 
 def _saturate(g: Graph, h: VertexSet) -> VertexSet | None:
@@ -113,24 +113,24 @@ class SHFamily:
 
 def enumerate_SH(g: Graph) -> SHFamily:
     """Every saturated hereditary subset, walked up from the bottom along its
-    covers: those of S are the minimal closures of S with one atom outside."""
-    if len(g.vertices) > MAX_CORE:
-        raise GraphError(
-            "TOO_LARGE",
-            f"{len(g.vertices)} core vertices exceeds the enumeration bound {MAX_CORE}",
-            bound=MAX_CORE,
-        )
+    covers: those of S are the minimal closures of S with one atom outside.
+    Raises TOO_LARGE once the walk has found more than MAX_MEMBERS sets."""
     atoms = [VertexSet.make({v}) for v in g.vertices]
     for r in g.rays:
         atoms.extend(VertexSet.make((), {r.id: k}) for k in range(len(r.prefix) + 1))
     covers_of: dict[VertexSet, list[VertexSet]] = {}
+    bottom = closure_SH(g, VertexSet.make())
+    found = {bottom}
 
     def up(s: VertexSet) -> list[VertexSet]:
         above = {closure_SH(g, s.union(a)) for a in atoms if not a.is_subset(s)}
         covers_of[s] = [c for c in above if not any(b != c and b.is_subset(c) for b in above)]
+        found.update(covers_of[s])
+        if len(found) > MAX_MEMBERS:
+            raise GraphError("TOO_LARGE", f"more than {MAX_MEMBERS} saturated hereditary subsets", bound=MAX_MEMBERS)
         return covers_of[s]
 
-    seen = reach([closure_SH(g, VertexSet.make())], up)
+    seen = reach([bottom], up)
     members = tuple(sorted(seen, key=lambda vs: (len(vs.core), tuple(sorted(vs.core)), vs.rays)))
     index = {m: i for i, m in enumerate(members)}
     covers = tuple(sorted((index[s], index[c]) for s, above in covers_of.items() for c in above))

@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -251,25 +253,77 @@ def test_cli_outputs_reparse_canonically(capsys):
     assert serialize_graph(parse_graph(out)) == out
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # only graph.simple_cycles needs networkx, and no command calls it
-    code = "import sys, graphmoves.cli; print('networkx' in sys.modules)"
+def _python(code: str, *flags: str) -> str:
+    """The standard output of a fresh interpreter running code on this package."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphmoves.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+GRAPH_IO = {"errors", "graph", "graphio", "multiplicity"}
+
+
+@pytest.mark.parametrize(
+    "run, loaded",
+    [
+        ("import graphmoves", set()),
+        (f"main(['check', {fx('fix_b2')!r}, '--g0', 'v,w'])", {"cli", "conditions"} | GRAPH_IO),
+        (f"main(['ktheory', {fx('fix_loop')!r}])", {"cli", "ktheory"} | GRAPH_IO),
+        (f"main(['export-dot', {fx('fix_inf')!r}])", {"cli"} | GRAPH_IO),
+    ],
+    ids=["import", "check", "ktheory", "export-dot"],
+)
+def test_each_process_loads_only_the_modules_it_runs(run, loaded):
+    # the package resolves its names on first use and each subcommand imports
+    # what it runs, so no process pays for a module it never calls; no
+    # module needs networkx
+    if run.startswith("main("):
+        run = f"from graphmoves.cli import main\nassert {run} == 0"
+    code = (
+        f"import sys\n{run}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('graphmoves.')), 'networkx' in sys.modules)\n"
+    )
+    last = _python(code).splitlines()[-1]
+    assert last == f"{sorted(f'graphmoves.{m}' for m in loaded)} False"
 
 
 def test_package_loads_no_third_party_module():
     # -S keeps site-packages off the path, so nothing the site hooks load
-    # counts, and a third-party import would fail outright
+    # counts, and a third-party import would fail outright; every exported
+    # name is resolved first, so every module behind them is loaded
     code = (
         "import sys, graphmoves, graphmoves.cli\n"
+        "for name in graphmoves.__all__:\n"
+        "    getattr(graphmoves, name)\n"
         "from graphmoves.fixtures import fix_loop\n"
         "assert graphmoves.simple_cycles(fix_loop()) == [('u',)]\n"
+        "for m in ('conditions', 'contraction', 'ideals', 'ktheory', 'moves'):\n"
+        "    assert f'graphmoves.{m}' in sys.modules\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} - set(sys.stdlib_module_names)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphmoves.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['__main__', 'graphmoves']"
+    assert _python(code, "-S").strip() == "['__main__', 'graphmoves']"
+
+
+def test_package_exports_resolve_to_their_modules():
+    names = graphmoves.__all__
+    assert len(set(names)) == len(names) == 59
+    for name in names:
+        module = importlib.import_module(f"graphmoves.{graphmoves._MODULE_OF[name]}")
+        assert getattr(graphmoves, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        graphmoves.no_such_name
+    # a fresh process, where no name is resolved yet: dir lists them all and
+    # the star import binds them all
+    code = (
+        "import graphmoves\n"
+        "unlisted = set(graphmoves.__all__) - set(dir(graphmoves))\n"
+        "from graphmoves import *\n"
+        "print(sorted(unlisted), sum(name in globals() for name in graphmoves.__all__))\n"
+    )
+    assert _python(code).strip() == "[] 59"
+
+
+def test_version_has_one_source():
+    pyproject = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]*)"$', pyproject, re.M).group(1) == graphmoves.__version__

@@ -10,6 +10,7 @@ from graphmoves.fixtures import FIXTURES, fix_b2, fix_inf, fix_loop, fix_vi_e, f
 from graphmoves.graph import Graph, VertexSet, build_graph, full_vertex_set
 from graphmoves.graphio import RandomSpec, generate_random
 from graphmoves.ideals import (
+    MAX_MEMBERS,
     check_fullness,
     closure_SH,
     enumerate_SH,
@@ -165,6 +166,19 @@ def test_isolated_vertices_lattice_is_fast():
     assert dot.count("->") == 11 * 2 ** 10  # each member is covered by adding one missing vertex
 
 
+def test_member_bound_admits_twelve_vertices_and_stops_twenty_early():
+    def isolated(n):
+        return build_graph({"vertices": [f"v{i}" for i in range(n)], "edges": []})
+
+    assert len(enumerate_SH(isolated(12)).members) == MAX_MEMBERS == 2 ** 12
+    start = time.perf_counter()
+    with pytest.raises(GraphError) as err:
+        enumerate_SH(isolated(20))  # 2 ** 20 members, refused long before they are walked
+    assert time.perf_counter() - start < 2.0
+    assert err.value.code == "TOO_LARGE"
+    assert err.value.context == {"bound": MAX_MEMBERS}
+
+
 def test_fullness_frozen():
     assert check_fullness(fix_b2(), VW)
     assert check_fullness(fix_inf(), VertexSet.make({"v"}))
@@ -185,7 +199,7 @@ def test_too_large_guard():
     with pytest.raises(GraphError) as err:
         enumerate_SH(g)
     assert err.value.code == "TOO_LARGE"
-    assert err.value.context == {"bound": 20}
+    assert err.value.context == {"bound": 4096}
 
 
 def test_hasse_dot_quotes_awkward_ids():
