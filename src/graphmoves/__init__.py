@@ -6,9 +6,8 @@ desingularization, skew products, ESSE splits, tail removal) produce related
 graphs, and the ideal lattice plus K-theory invariants serve as oracles that
 a move preserved what it should.
 
-`import graphmoves` loads no submodule: each exported name below is resolved
-from its module on first use (PEP 562), so a caller pays only for the
-modules it touches.
+Each exported name is written once, in the table below; `import graphmoves`
+loads every module in it and binds its names.
 """
 
 import importlib
@@ -36,14 +35,6 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __all__ = sorted(_MODULE_OF)
 
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(globals().keys() | _MODULE_OF.keys())
+for _name, _module in _MODULE_OF.items():
+    globals()[_name] = getattr(importlib.import_module(f".{_module}", __name__), _name)
+del _name, _module

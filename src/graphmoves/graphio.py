@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 
+from .conditions import check_theorem
 from .errors import GraphError
 from .graph import Graph, VertexSet, build_graph, singularities
 from .multiplicity import Mult, OMEGA
@@ -190,8 +191,6 @@ def generate_random(spec: RandomSpec) -> tuple[Graph, VertexSet]:
     rng = random.Random(spec.seed)
     if not spec.passing:
         return _draw(rng, spec)
-    from .conditions import check_theorem  # here, so that parsing a file never loads the checkers
-
     for _ in range(spec.max_retries):
         g, g0 = _draw(rng, spec)
         if check_theorem(g, g0).passed:
