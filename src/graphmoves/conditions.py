@@ -410,10 +410,7 @@ def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
         t_inf |= nodes
 
     def witness_ray_for(node: Node) -> str:
-        for rid in sorted(reach_by_ray):
-            if node in reach_by_ray[rid]:
-                return rid
-        return ""
+        return next(rid for rid in sorted(reach_by_ray) if node in reach_by_ray[rid])
 
     reached = _reached_from_g0(g, g0)
 

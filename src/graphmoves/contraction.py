@@ -53,9 +53,6 @@ class BvPath:
     def length(self) -> int:
         return len(self.refs) - 1
 
-    def to_record(self) -> dict:
-        return {"refs": list(self.refs), "count": self.count.to_json()}
-
 
 @dataclass(frozen=True)
 class Climb:
@@ -101,13 +98,6 @@ class InfiniteFamily:
                 out.append(ref)
         return tuple(out)
 
-    def to_record(self) -> dict:
-        return {
-            "refs": list(self.refs),
-            "climbs": [c.to_record() for c in self.climbs],
-            "base_count": self.base_count.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class PathFamily:
@@ -132,15 +122,6 @@ class PathFamily:
         if not self.finite_part:
             return None
         return Mult(max(p.length for p in self.finite_part))
-
-    def to_record(self) -> dict:
-        return {
-            "owner": self.owner,
-            "finite": [p.to_record() for p in self.finite_part],
-            "families": [f.to_record() for f in self.infinite_families],
-            "cardinality": self.cardinality.to_json(),
-            "max_length": None if self.max_length is None else self.max_length.to_json(),
-        }
 
 
 def _require_acyclic_T(t: SubgraphT) -> None:

@@ -1,76 +1,32 @@
-"""Small named graphs used throughout the test suite and docs."""
+"""Small named graphs used throughout the test suite and docs.
+
+Each is parsed from its shipped file `fixtures/<name>.graph`:
+
+- fix_loop: one vertex with a loop.
+- fix_b2: binary tree with two generations, leaves feeding a sink w.
+- fix_inf: two vertices joined by a single edge of infinite multiplicity.
+- fix_vi_e: core {v,w} with two rays from v; every spine position also emits to w.
+- fix_vi_f: core {v,w} with v emitting infinitely to w plus one ray whose spine emits to w.
+- fix_esse: a two-cycle a -> x -> a, bipartite with parts {a} and {x}.
+"""
 
 from __future__ import annotations
 
-from .graph import Graph, Ray
-from .multiplicity import Mult, OMEGA, ONE
+from functools import partial
+from pathlib import Path
+
+from .graph import Graph
+from .graphio import parse_graph
+
+_DIR = Path(__file__).resolve().parents[2] / "fixtures"
 
 
-def _e(src: str, dst: str, mult: Mult = ONE) -> tuple[str, str, Mult]:
-    return (src, dst, mult)
-
-
-def fix_loop() -> Graph:
-    """One vertex with a loop."""
-    return Graph(vertices=("u",), edges=(_e("u", "u"),))
-
-
-def fix_b2() -> Graph:
-    """Binary tree with two generations, leaves feeding a sink w."""
-    return Graph(
-        vertices=("v", "t0", "ta", "tb", "w"),
-        edges=(
-            _e("v", "t0"),
-            _e("t0", "ta"),
-            _e("t0", "tb"),
-            _e("ta", "w"),
-            _e("tb", "w"),
-        ),
-    )
-
-
-def fix_inf() -> Graph:
-    """Two vertices joined by a single edge of infinite multiplicity."""
-    return Graph(vertices=("v", "w"), edges=(_e("v", "w", OMEGA),))
-
-
-def _unit_ray(rid: str, src: str, target: str) -> Ray:
-    return Ray(
-        id=rid,
-        entry=((src, ONE),),
-        prefix=(),
-        cycle=((((target, ONE),)),),
-    )
-
-
-def fix_vi_e() -> Graph:
-    """Core {v,w} with two rays from v; every spine position also emits to w."""
-    return Graph(
-        vertices=("v", "w"),
-        edges=(_e("v", "w"),),
-        rays=(_unit_ray("L", "v", "w"), _unit_ray("R", "v", "w")),
-    )
-
-
-def fix_vi_f() -> Graph:
-    """Core {v,w} with v emitting infinitely to w plus one ray whose spine emits to w."""
-    return Graph(
-        vertices=("v", "w"),
-        edges=(_e("v", "w", OMEGA),),
-        rays=(_unit_ray("X", "v", "w"),),
-    )
-
-
-def fix_esse() -> Graph:
-    """A two-cycle a -> x -> a, bipartite with parts {a} and {x}."""
-    return Graph(vertices=("a", "x"), edges=(_e("a", "x"), _e("x", "a")))
+def _load(name: str) -> Graph:
+    return parse_graph((_DIR / f"{name}.graph").read_text())
 
 
 FIXTURES = {
-    "fix_loop": fix_loop,
-    "fix_b2": fix_b2,
-    "fix_inf": fix_inf,
-    "fix_vi_e": fix_vi_e,
-    "fix_vi_f": fix_vi_f,
-    "fix_esse": fix_esse,
+    name: partial(_load, name)
+    for name in ("fix_loop", "fix_b2", "fix_inf", "fix_vi_e", "fix_vi_f", "fix_esse")
 }
+fix_loop, fix_b2, fix_inf, fix_vi_e, fix_vi_f, fix_esse = FIXTURES.values()

@@ -310,15 +310,29 @@ def build_graph(description: Mapping) -> Graph:
     """Validate a plain description (parsed file contents) into a Graph.
 
     Edge records may target a ray at position 0 (written "rayid.x0"); such
-    records are folded into the ray's entry list.
+    records are folded into the ray's entry list.  Malformed input raises
+    PARSE_ERROR.
     """
     if not isinstance(description, Mapping):
         raise GraphError("PARSE_ERROR", "graph description must be a mapping")
-    vertices = tuple(description.get("vertices", ()))
+    try:
+        return _build_graph(description)
+    except (TypeError, KeyError, AttributeError, ValueError) as err:
+        raise GraphError("PARSE_ERROR", f"malformed record: {err}") from err
+
+
+def _as_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise GraphError("PARSE_ERROR", f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _build_graph(description: Mapping) -> Graph:
+    vertices = tuple(_as_list(description.get("vertices", ()), "vertices"))
     for v in vertices:
         if not isinstance(v, str):
             raise GraphError("PARSE_ERROR", f"vertex ids must be strings, got {v!r}")
-    ray_descs = description.get("rays", ())
+    ray_descs = _as_list(description.get("rays", ()), "rays")
     ray_ids = []
     for rd in ray_descs:
         rid = rd.get("id")
@@ -328,7 +342,7 @@ def build_graph(description: Mapping) -> Graph:
 
     extra_entries: dict[str, list[tuple[str, Mult]]] = {rid: [] for rid in ray_ids}
     edges = []
-    for e in description.get("edges", ()):
+    for e in _as_list(description.get("edges", ()), "edges"):
         src, dst = e["src"], e["dst"]
         mult = Mult.from_json(e.get("mult", 1))
         m = _POSITION_RE.match(dst) if isinstance(dst, str) else None
@@ -343,23 +357,16 @@ def build_graph(description: Mapping) -> Graph:
         else:
             edges.append((src, dst, mult))
 
-    def _positions(raw) -> tuple[tuple[tuple[str, Mult], ...], ...]:
-        return tuple(
-            tuple((t["dst"], Mult.from_json(t.get("mult", 1))) for t in pos) for pos in raw
-        )
+    def _slots(raw, what: str, end: str) -> tuple[tuple[str, Mult], ...]:
+        return tuple((t[end], Mult.from_json(t.get("mult", 1))) for t in _as_list(raw, what))
+
+    def _positions(rd, key: str) -> tuple[tuple[tuple[str, Mult], ...], ...]:
+        return tuple(_slots(pos, f"{key} position", "dst") for pos in _as_list(rd.get(key, ()), key))
 
     rays = []
     for rd, rid in zip(ray_descs, ray_ids):
-        entry = [(t["src"], Mult.from_json(t.get("mult", 1))) for t in rd.get("entry", ())]
-        entry.extend(extra_entries[rid])
-        rays.append(
-            Ray(
-                id=rid,
-                entry=tuple(entry),
-                prefix=_positions(rd.get("prefix", ())),
-                cycle=_positions(rd.get("cycle", ())),
-            )
-        )
+        entry = _slots(rd.get("entry", ()), "entry", "src") + tuple(extra_entries[rid])
+        rays.append(Ray(rid, entry, prefix=_positions(rd, "prefix"), cycle=_positions(rd, "cycle")))
     return Graph(vertices=vertices, edges=tuple(edges), rays=tuple(rays))
 
 
@@ -399,11 +406,10 @@ def quotient_bfs(g: Graph, sources: Iterable[Node]) -> set[Node]:
 
 
 def source_nodes(g: Graph, vset: VertexSet) -> list[Node]:
-    nodes: list[Node] = [v for v in vset.core if v in g.vertex_set]
+    """The quotient nodes of vset, which must lie in g (check_membership_args)."""
+    nodes: list[Node] = list(vset.core)
     for rid, k in vset.rays:
-        ray = g.ray_map.get(rid)
-        if ray is None:
-            continue
+        ray = g.ray_map[rid]
         p = len(ray.prefix)
         nodes.extend((rid, j) for j in range(k, p))
         nodes.extend((rid, p + c) for c in range(len(ray.cycle)))

@@ -28,12 +28,7 @@ def parse_graph(text: str) -> Graph:
     unknown = set(record) - {"vertices", "edges", "rays"}
     if unknown:
         raise GraphError("PARSE_ERROR", f"unknown keys: {sorted(unknown)}")
-    try:
-        return build_graph(record)
-    except GraphError:
-        raise
-    except (TypeError, KeyError, AttributeError, ValueError) as err:
-        raise GraphError("PARSE_ERROR", f"malformed record: {err}") from err
+    return build_graph(record)
 
 
 def _targets_record(positions) -> list:

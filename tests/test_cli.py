@@ -175,6 +175,28 @@ def test_delay_plan_errors(tmp_path, capsys):
     assert "assigned twice" in err
 
 
+PLAN = ("delay-out", "--plan")
+LABELS = ("skew", "--p", "2", "--labels")
+RECORD_FILE_ERRORS = [
+    ("unreadable", PLAN, None),
+    ("invalid JSON", PLAN, "[{"),
+    ("not a list", PLAN, '{"vertex": "u", "slot": 0, "stage": 1}'),
+    ("plan without stage", PLAN, '[{"vertex": "u", "slot": 0}]'),
+    ("label slot twice", LABELS, '[{"slot": 0, "label": 0}, {"slot": 0, "label": 1}]'),
+]
+
+
+@pytest.mark.parametrize("argv, text", [c[1:] for c in RECORD_FILE_ERRORS], ids=[c[0] for c in RECORD_FILE_ERRORS])
+def test_record_file_errors(tmp_path, capsys, argv, text):
+    records = tmp_path / "records.json"
+    if text is not None:
+        records.write_text(text)
+    command, *flags = argv
+    code, _, err = run(capsys, command, fx("fix_loop"), *flags, str(records))
+    assert code == 2
+    assert "PARSE_ERROR" in err
+
+
 def test_skew_cli(tmp_path, capsys):
     labels = tmp_path / "labels.json"
     labels.write_text('[{"slot": 0, "label": 1}]')

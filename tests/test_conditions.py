@@ -525,3 +525,25 @@ def test_t_cycle_witnesses_validate_on_random_draws():
                         assert validate_witness(g, g0, violation), (violation, g0.render())
                         checked += 1
     assert checked > 200
+
+
+# ---------------------------------------------------------------------------
+# forged witnesses: each validate_witness branch rejects a wrong one
+
+# on fix_vi_e with g0 = {v, w}, T is the two rays L and R, both entered from v
+FORGED = [
+    ("COND_B reached from g0", Violation("COND_B", "L.x0", ray="L")),
+    ("COND_C wrong in_degree", Violation("COND_C", "L.x0", in_degree=2)),
+    ("COND_D finite emitter", Violation("COND_D", edge=("v", "L.x0"), source="v")),
+    ("COND_A prefix off its vertex", Violation("COND_A", "v", prefix1=("w", "L.x0"), prefix2=("v", "R.x0"))),
+    # a one-ref prefix ends at its g0 vertex, so the last-ref check would reject it too
+    ("COND_A prefix shorter than 2", Violation("COND_A", "v", prefix1=(), prefix2=("v", "R.x0"))),
+    ("COND_A last ref finite", Violation("COND_A", "v", prefix1=("v", "w"), prefix2=("v", "R.x0"))),
+    ("COND_A equal prefixes", Violation("COND_A", "v", prefix1=("v", "L.x0"), prefix2=("v", "L.x0"))),
+    ("unknown kind", Violation("COND_Z", "v")),
+]
+
+
+@pytest.mark.parametrize("violation", [v for _, v in FORGED], ids=[name for name, _ in FORGED])
+def test_validate_witness_rejects_forged_witnesses(violation):
+    assert not validate_witness(fix_vi_e(), VW, violation)

@@ -137,6 +137,32 @@ def test_mid_ray_edge_target_rejected():
     assert err.value.code == "DANGLING_ENDPOINT"
 
 
+def _ray_graph(entry, cycle, edges=()):
+    return {
+        "vertices": ["v", "w"],
+        "edges": list(edges),
+        "rays": [{"id": "R", "entry": entry, "prefix": [], "cycle": cycle}],
+    }
+
+
+INVALID = [
+    ("edge from unknown source", {"vertices": ["a"], "edges": [{"src": "b", "dst": "a"}]}, "DANGLING_ENDPOINT"),
+    ("entry from unknown vertex", _ray_graph([{"src": "x"}], [[]]), "DANGLING_ENDPOINT"),
+    ("entry multiplicity 0", _ray_graph([{"src": "v", "mult": 0}], [[]]), "ZERO_MULTIPLICITY"),
+    ("ray target unknown", _ray_graph([{"src": "v"}], [[{"dst": "x"}]]), "DANGLING_ENDPOINT"),
+    ("ray target multiplicity 0", _ray_graph([{"src": "v"}], [[{"dst": "w", "mult": 0}]]), "ZERO_MULTIPLICITY"),
+    ("description not a mapping", ["v", "w"], "PARSE_ERROR"),
+    ("edge into R.x2", _ray_graph([{"src": "v"}], [[]], [{"src": "w", "dst": "R.x2"}]), "DANGLING_ENDPOINT"),
+]
+
+
+@pytest.mark.parametrize("description, code", [c[1:] for c in INVALID], ids=[c[0] for c in INVALID])
+def test_invalid_description_codes(description, code):
+    with pytest.raises(GraphError) as err:
+        build_graph(description)
+    assert err.value.code == code
+
+
 def test_all_fixtures_validate():
     for name, build in FIXTURES.items():
         g = build()

@@ -31,9 +31,8 @@ def test_round_trip_fixtures():
 
 
 def test_shipped_fixture_files_match_builders():
-    for name, build in FIXTURES.items():
-        text = (FIXTURE_DIR / f"{name}.graph").read_text()
-        assert graphs_equal(parse_graph(text), build()), name
+    # FIXTURES loads the shipped files: no file lacks a name, no name a file
+    assert set(FIXTURES) == {path.stem for path in FIXTURE_DIR.glob("*.graph")}
 
 
 def test_serialization_is_canonical():
@@ -63,6 +62,32 @@ def test_parse_rejects_unknown_keys_and_shapes():
     assert err.value.code == "PARSE_ERROR"
     with pytest.raises(GraphError) as err:
         parse_graph('{"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "mult": "lots"}]}')
+    assert err.value.code == "PARSE_ERROR"
+
+
+def _ray(**fields):
+    return {"id": "R", "entry": [{"src": "a"}], "prefix": [], "cycle": [[]], **fields}
+
+
+MALFORMED = [
+    ("edge without dst", {"vertices": ["a"], "edges": [{"src": "a"}]}),
+    ("edge as a list", {"vertices": ["a"], "edges": [["a", "a"]]}),
+    ("ray as a string", {"vertices": ["a"], "rays": ["R"]}),
+    ("vertices as a string", {"vertices": "ab"}),
+    ("edges as a record", {"vertices": ["a"], "edges": {"src": "a", "dst": "a"}}),
+    ("rays as a string", {"vertices": ["a"], "rays": "R"}),
+    ("entry as a string", {"vertices": ["a"], "rays": [_ray(entry="")]}),
+    ("prefix as a string", {"vertices": ["a"], "rays": [_ray(prefix="")]}),
+    ("cycle as a string", {"vertices": ["a"], "rays": [_ray(cycle="")]}),
+    ("position as a string", {"vertices": ["a"], "rays": [_ray(cycle=[""])]}),
+]
+
+
+@pytest.mark.parametrize("description", [d for _, d in MALFORMED], ids=[name for name, _ in MALFORMED])
+@pytest.mark.parametrize("load", [build_graph, lambda d: parse_graph(json.dumps(d))], ids=["build", "parse"])
+def test_malformed_description_is_a_parse_error(load, description):
+    with pytest.raises(GraphError) as err:
+        load(description)
     assert err.value.code == "PARSE_ERROR"
 
 
@@ -167,6 +192,13 @@ def test_passing_mode_passes():
     for seed in range(200):
         g, g0 = generate_random(RandomSpec(seed=seed, passing=True))
         assert check_theorem(g, g0).passed, seed
+
+
+@pytest.mark.parametrize("knobs", [{"core_range": (0, 3)}, {"ray_range": (2, 1)}, {"cycle_range": (0, 2)}])
+def test_random_spec_rejects_bad_ranges(knobs):
+    with pytest.raises(GraphError) as err:
+        RandomSpec(seed=0, **knobs)
+    assert err.value.code == "PARSE_ERROR"
 
 
 def test_generation_exhausted():
