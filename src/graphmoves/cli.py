@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success or a passing check, 1 when a checker reports
 violations (including a failed checked contraction), 2 on input errors.
-Every subcommand takes --json for a machine-readable report.
+Every subcommand takes --json for a machine-readable report.  Each subcommand
+imports the library modules it runs, so a process loads nothing more.
 """
 
 from __future__ import annotations
@@ -12,23 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .conditions import check_proposition, check_theorem
-from .contraction import contract
 from .errors import GraphError
 from .graph import Graph, VertexSet, parse_ref
 from .graphio import export_dot, graph_record, parse_graph, serialize_graph
-from .ideals import closure_SH, enumerate_SH
-from .ktheory import k_theory
-from .moves import (
-    CocycleLabeling,
-    DelayPlan,
-    desingularize,
-    esse_split,
-    in_delay,
-    out_delay,
-    skew_product,
-    tails_to_sinks,
-)
 
 
 def _load(path: str) -> Graph:
@@ -94,6 +81,8 @@ def _emit_graph(g: Graph, as_json: bool) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .conditions import check_proposition, check_theorem
+
     g = _load(args.file)
     g0 = _core_set(g, args.g0)
     thm = check_theorem(g, g0)
@@ -109,6 +98,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_contract(args) -> int:
+    from .contraction import contract
+
     g = _load(args.file)
     g0 = _core_set(g, args.g0)
     mode = "unchecked" if args.unchecked else "checked"
@@ -121,6 +112,8 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .ideals import closure_SH
+
     g = _load(args.file)
     start = _member_set(g, args.set)
     closed = closure_SH(g, start)
@@ -136,6 +129,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
+    from .ideals import enumerate_SH
+
     g = _load(args.file)
     family = enumerate_SH(g)
     if args.json:
@@ -148,6 +143,8 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_ktheory(args) -> int:
+    from .ktheory import k_theory
+
     g = _load(args.file)
     inv = k_theory(g)
     if args.json:
@@ -159,6 +156,8 @@ def _cmd_ktheory(args) -> int:
 
 
 def _cmd_desingularize(args) -> int:
+    from .moves import desingularize
+
     _emit_graph(desingularize(_load(args.file)), args.json)
     return 0
 
@@ -176,7 +175,8 @@ def _read_records(path: str, what: str) -> list:
     return records
 
 
-def _read_plans(path: str) -> list[DelayPlan]:
+def _read_plans(path: str) -> dict[str, tuple[int, ...]]:
+    """Each planned vertex's stages, slot by slot."""
     records = _read_records(path, "plan")
     by_vertex: dict[str, dict[int, int]] = {}
     for rec in records:
@@ -188,22 +188,24 @@ def _read_plans(path: str) -> list[DelayPlan]:
         if slot in slots:
             raise GraphError("PARSE_ERROR", f"slot {slot} of {vertex} assigned twice")
         slots[slot] = stage
-    plans = []
     for vertex, slots in by_vertex.items():
         if sorted(slots) != list(range(len(slots))):
             raise GraphError("PARSE_ERROR", f"slots of {vertex} must be 0..{len(slots) - 1}")
-        plans.append(DelayPlan(vertex, tuple(slots[i] for i in range(len(slots)))))
-    return plans
+    return {vertex: tuple(slots[i] for i in range(len(slots))) for vertex, slots in by_vertex.items()}
 
 
 def _cmd_delay(args) -> int:
+    from .moves import DelayPlan, in_delay, out_delay
+
     g = _load(args.file)
     move = out_delay if args.direction == "out" else in_delay
-    _emit_graph(move(g, _read_plans(args.plan)), args.json)
+    plans = [DelayPlan(vertex, stages) for vertex, stages in _read_plans(args.plan).items()]
+    _emit_graph(move(g, plans), args.json)
     return 0
 
 
-def _read_labels(path: str, p: int, g: Graph) -> CocycleLabeling:
+def _read_labels(path: str, g: Graph) -> tuple[int, ...]:
+    """The label of each edge slot, in slot order."""
     records = _read_records(path, "label")
     slots: dict[int, int] = {}
     for rec in records:
@@ -216,16 +218,20 @@ def _read_labels(path: str, p: int, g: Graph) -> CocycleLabeling:
         slots[slot] = label
     if sorted(slots) != list(range(len(g.edges))):
         raise GraphError("PARSE_ERROR", f"labels must cover edge slots 0..{len(g.edges) - 1}")
-    return CocycleLabeling(p, tuple(slots[i] for i in range(len(slots))))
+    return tuple(slots[i] for i in range(len(slots)))
 
 
 def _cmd_skew(args) -> int:
+    from .moves import CocycleLabeling, skew_product
+
     g = _load(args.file)
-    _emit_graph(skew_product(g, _read_labels(args.labels, args.p, g)), args.json)
+    _emit_graph(skew_product(g, CocycleLabeling(args.p, _read_labels(args.labels, g))), args.json)
     return 0
 
 
 def _cmd_esse(args) -> int:
+    from .moves import esse_split
+
     g = _load(args.file)
     left, right = esse_split(g, (_core_set(g, args.v1), _core_set(g, args.v2)))
     if args.json:
@@ -240,6 +246,8 @@ def _cmd_esse(args) -> int:
 
 
 def _cmd_tails(args) -> int:
+    from .moves import tails_to_sinks
+
     _emit_graph(tails_to_sinks(_load(args.file)), args.json)
     return 0
 

@@ -502,7 +502,8 @@ def validate_witness(g: Graph, g0: VertexSet, violation: Violation) -> bool:
         return node in t.inf_nodes and node not in _reached_from_g0(g, g0)
     if kind == "COND_C":
         node = _class_node(g, violation.vertex)
-        return node in t.inf_nodes and _in_degree_json(g, node) == violation.in_degree
+        degree = in_multiplicity(g, node)
+        return node in t.inf_nodes and degree != ONE and degree.to_json() == violation.in_degree
     if kind == "COND_D":
         src, dst_ref = violation.edge
         node = _class_node(g, dst_ref)
@@ -510,14 +511,30 @@ def validate_witness(g: Graph, g0: VertexSet, violation: Violation) -> bool:
             return False
         return any(s == src for s, _ in in_core_sources(g, node))
     if kind == "COND_A":
-        if not g0.contains_node(parse_ref(g, violation.vertex)):
+        p1, p2 = violation.prefix1, violation.prefix2
+        if violation.parallel != (p1 == p2) or not g0.contains_node(parse_ref(g, violation.vertex)):
             return False
-        for prefix in (violation.prefix1, violation.prefix2):
+        for prefix in (p1, p2):
             if len(prefix) < 2 or prefix[0] != violation.vertex:
                 return False
-            if _class_node(g, prefix[-1]) not in t.inf_nodes:
+            path = _t_path(g, t, prefix)
+            if path is None or path[-1] not in t.inf_nodes:
                 return False
-        if violation.prefix1 == violation.prefix2 and not violation.parallel:
-            return False
-        return True
+        if violation.parallel:
+            # one path, left by two slots of its last step
+            before, last = (parse_ref(g, ref) for ref in p1[-2:])
+            return _slot_count([(n, m) for n, m in quotient_slots(g, before) if n == last]) >= 2
+        # two paths, which part somewhere before the shorter one ends
+        n = min(len(p1), len(p2))
+        return p1[:n] != p2[:n]
     return False
+
+
+def _t_path(g: Graph, t: SubgraphT, refs: tuple[str, ...]) -> list[Node] | None:
+    """The nodes of refs when each step follows an out-slot of the
+    reachability quotient into T, else None."""
+    nodes = [parse_ref(g, ref) for ref in refs]
+    for here, nxt in zip(nodes, nodes[1:]):
+        if not t.contains(nxt) or all(n != nxt for n, _ in quotient_slots(g, here)):
+            return None
+    return nodes

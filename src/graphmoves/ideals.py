@@ -57,15 +57,20 @@ def _saturate(g: Graph, h: VertexSet) -> VertexSet | None:
     return VertexSet.make(core, states)
 
 
-def closure_SH(g: Graph, x: VertexSet) -> VertexSet:
-    """The smallest saturated hereditary set containing x."""
-    reached = reachable_set(g, x)
-    # the hereditary closure holds every cycle target, so a state inside the
-    # cycle is forced back to the prefix boundary at once
-    current = VertexSet.make(reached.core, {rid: min(k, len(g.ray_map[rid].prefix)) for rid, k in reached.rays})
+def _saturation(g: Graph, hereditary: VertexSet) -> VertexSet:
+    """The smallest saturated set containing a hereditary set; it stays
+    hereditary."""
+    # a hereditary set holds every cycle target, so a state inside the cycle
+    # is forced back to the prefix boundary at once
+    current = VertexSet.make(hereditary.core, {rid: min(k, len(g.ray_map[rid].prefix)) for rid, k in hereditary.rays})
     while (grown := _saturate(g, current)) is not None:
         current = grown
     return current
+
+
+def closure_SH(g: Graph, x: VertexSet) -> VertexSet:
+    """The smallest saturated hereditary set containing x."""
+    return _saturation(g, reachable_set(g, x))
 
 
 def is_hereditary(g: Graph, h: VertexSet) -> bool:
@@ -118,12 +123,15 @@ def enumerate_SH(g: Graph) -> SHFamily:
     atoms = [VertexSet.make({v}) for v in g.vertices]
     for r in g.rays:
         atoms.extend(VertexSet.make((), {r.id: k}) for k in range(len(r.prefix) + 1))
+    # s is hereditary, so the closure of s with a is the saturation of s
+    # with everything a reaches: each atom's reach is found once
+    reached_of = {a: reachable_set(g, a) for a in atoms}
     covers_of: dict[VertexSet, list[VertexSet]] = {}
     bottom = closure_SH(g, VertexSet.make())
     found = {bottom}
 
     def up(s: VertexSet) -> list[VertexSet]:
-        above = {closure_SH(g, s.union(a)) for a in atoms if not a.is_subset(s)}
+        above = {_saturation(g, s.union(reached_of[a])) for a in atoms if not a.is_subset(s)}
         covers_of[s] = [c for c in above if not any(b != c and b.is_subset(c) for b in above)]
         found.update(covers_of[s])
         if len(found) > MAX_MEMBERS:

@@ -283,24 +283,49 @@ def _python(code: str, *flags: str) -> str:
     return proc.stdout
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # the package loads each module of its export table, and none of them
-    # needs networkx
+GRAPH_IO = {"errors", "graph", "graphio", "multiplicity"}
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import graphmoves", set()),
+        ("import graphmoves.cli", {"cli"} | GRAPH_IO),
+        (f"main(['check', {fx('fix_b2')!r}, '--g0', 'v,w'])", {"cli", "conditions"} | GRAPH_IO),
+        (f"main(['contract', {fx('fix_b2')!r}, '--g0', 'v,w'])", {"cli", "conditions", "contraction"} | GRAPH_IO),
+        (f"main(['closure', {fx('fix_b2')!r}, '--set', 'w'])", {"cli", "ideals"} | GRAPH_IO),
+        (f"main(['desingularize', {fx('fix_inf')!r}])", {"cli", "conditions", "contraction", "moves"} | GRAPH_IO),
+        (f"main(['ktheory', {fx('fix_loop')!r}])", {"cli", "ktheory"} | GRAPH_IO),
+        (f"main(['export-dot', {fx('fix_inf')!r}])", {"cli"} | GRAPH_IO),
+    ],
+    ids=["import", "import-cli", "check", "contract", "closure", "desingularize", "ktheory", "export-dot"],
+)
+def test_cli_import_leaves_networkx_unloaded(statement, loaded):
+    # the package resolves its names on first use and each subcommand imports
+    # what it runs, so no process pays for a module it never calls; no
+    # module needs networkx
+    if statement.startswith("main("):
+        statement = f"from graphmoves.cli import main\nassert {statement} == 0"
     code = (
-        "import sys, graphmoves.cli\n"
+        f"import sys\n{statement}\n"
         "print(sorted(m for m in sys.modules if m.startswith('graphmoves.')), 'networkx' in sys.modules)\n"
     )
-    loaded = {*graphmoves._EXPORTS, "cli"}
-    assert _python(code).strip() == f"{sorted(f'graphmoves.{m}' for m in loaded)} False"
+    last = _python(code).splitlines()[-1]
+    assert last == f"{sorted(f'graphmoves.{m}' for m in loaded)} False"
 
 
 def test_package_loads_no_third_party_module():
     # -S keeps site-packages off the path, so nothing the site hooks load
-    # counts, and a third-party import would fail outright
+    # counts, and a third-party import would fail outright; every exported
+    # name is resolved first, so every module behind them is loaded
     code = (
         "import sys, graphmoves, graphmoves.cli\n"
+        "for name in graphmoves.__all__:\n"
+        "    getattr(graphmoves, name)\n"
         "from graphmoves.fixtures import fix_loop\n"
         "assert graphmoves.simple_cycles(fix_loop()) == [('u',)]\n"
+        "for m in ('conditions', 'contraction', 'ideals', 'ktheory', 'moves'):\n"
+        "    assert f'graphmoves.{m}' in sys.modules\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} - set(sys.stdlib_module_names)))\n"
     )
     assert _python(code, "-S").strip() == "['__main__', 'graphmoves']"
@@ -314,7 +339,8 @@ def test_package_exports_resolve_to_their_modules():
         assert getattr(graphmoves, name) is getattr(module, name), name
     with pytest.raises(AttributeError):
         graphmoves.no_such_name
-    # dir lists them all and the star import binds them all
+    # a fresh process, where no name is resolved yet: dir lists them all and
+    # the star import binds them all
     code = (
         "import graphmoves\n"
         "unlisted = set(graphmoves.__all__) - set(dir(graphmoves))\n"

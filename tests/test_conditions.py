@@ -180,6 +180,7 @@ def test_cond_a_parallel_slots():
     assert "COND_A" in kinds and "COND_C" in kinds
     cond_a = [v for v in verdict.violations if v.kind == "COND_A"][0]
     assert cond_a.parallel is True
+    assert validate_witness(g2, VW, cond_a)  # two slots on the one step
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +541,13 @@ FORGED = [
     ("COND_A prefix shorter than 2", Violation("COND_A", "v", prefix1=(), prefix2=("v", "R.x0"))),
     ("COND_A last ref finite", Violation("COND_A", "v", prefix1=("v", "w"), prefix2=("v", "R.x0"))),
     ("COND_A equal prefixes", Violation("COND_A", "v", prefix1=("v", "L.x0"), prefix2=("v", "L.x0"))),
+    # v has one slot into L.x0, so the one prefix is one path
+    (
+        "COND_A parallel over one slot",
+        Violation("COND_A", "v", prefix1=("v", "L.x0"), prefix2=("v", "L.x0"), parallel=True),
+    ),
+    ("COND_A prefix not a path", Violation("COND_A", "v", prefix1=("v", "L.x0", "R.x0"), prefix2=("v", "R.x0"))),
+    ("COND_C in-degree one", Violation("COND_C", "L.x0", in_degree=1)),
     ("unknown kind", Violation("COND_Z", "v")),
 ]
 

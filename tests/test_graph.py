@@ -126,6 +126,24 @@ def test_omega_ray_target_rejected():
     assert err.value.code == "OMEGA_RAY_TARGET"
 
 
+def test_edge_record_into_x0_is_read_as_an_entry():
+    # the README's second form of an entry: an edge record whose dst is R.x0
+    ray = {"id": "L", "prefix": [], "cycle": [[{"dst": "v", "mult": 1}]]}
+    folded = build_graph({
+        "vertices": ["v", "w"],
+        "edges": [{"src": "v", "dst": "w", "mult": 1}, {"src": "v", "dst": "L.x0", "mult": 2}],
+        "rays": [{**ray, "entry": [{"src": "w", "mult": 1}]}],
+    })
+    listed = build_graph({
+        "vertices": ["v", "w"],
+        "edges": [{"src": "v", "dst": "w", "mult": 1}],
+        "rays": [{**ray, "entry": [{"src": "w", "mult": 1}, {"src": "v", "mult": 2}]}],
+    })
+    assert folded == listed
+    assert folded.edges == (("v", "w", ONE),)
+    assert folded.rays[0].entry == (("w", ONE), ("v", Mult(2)))
+
+
 def test_mid_ray_edge_target_rejected():
     # only x0 can receive edges; deeper positions are not addressable as dst
     with pytest.raises(GraphError) as err:

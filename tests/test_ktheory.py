@@ -275,9 +275,10 @@ def test_k_theory_guards():
     assert err.value.code == "NOT_ROW_FINITE"
     from graphmoves.fixtures import fix_vi_e
 
-    with pytest.raises(GraphError) as err:
-        k_theory(fix_vi_e())
-    assert err.value.code == "HAS_RAYS"
+    for refused in (k_theory, adjacency_matrix):
+        with pytest.raises(GraphError) as err:
+            refused(fix_vi_e())
+        assert err.value.code == "HAS_RAYS"
 
 
 def test_k_theory_ranks_always_agree():

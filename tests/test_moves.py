@@ -127,6 +127,11 @@ def test_slot_units_order():
     with pytest.raises(GraphError) as err:
         in_slot_units(fix_vi_e(), "w")  # hit by ray cycles
     assert err.value.code == "INFINITE_DEGREE"
+    for ref in ("nope", "L.x0"):  # a ray position is no core vertex
+        with pytest.raises(GraphError) as err:
+            in_slot_units(fix_vi_e(), ref)
+        assert err.value.code == "UNKNOWN_VERTEX"
+        assert err.value.context == {"vertex": ref}
 
 
 def test_out_delay_loop():
@@ -259,6 +264,15 @@ def test_esse_rejects_bad_partitions():
     with pytest.raises(GraphError) as err:
         esse_split(g, (VertexSet.make({"a"}), VertexSet.make({"a", "x"})))
     assert err.value.code == "NOT_BIPARTITE"
+    # the middle graph has no rays, so a side that names ray positions is no
+    # side of a partition of its vertices
+    for sides in [
+        (VertexSet.make({"a"}, {"R": 0}), VertexSet.make({"x"})),
+        (VertexSet.make({"a"}), VertexSet.make({"x"}, {"R": 1})),
+    ]:
+        with pytest.raises(GraphError) as err:
+            esse_split(g, sides)
+        assert err.value.code == "NOT_BIPARTITE"
     loop = fix_loop()
     with pytest.raises(GraphError) as err:
         esse_split(loop, (VertexSet.make({"u"}), VertexSet.make(set())))
