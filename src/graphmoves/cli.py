@@ -175,13 +175,20 @@ def _read_records(path: str, what: str) -> list:
     return records
 
 
+def _json_int(value) -> int:
+    """value when it is a JSON integer; a float, string or boolean is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _read_plans(path: str) -> dict[str, tuple[int, ...]]:
     """Each planned vertex's stages, slot by slot."""
     records = _read_records(path, "plan")
     by_vertex: dict[str, dict[int, int]] = {}
     for rec in records:
         try:
-            vertex, slot, stage = rec["vertex"], int(rec["slot"]), int(rec["stage"])
+            vertex, slot, stage = rec["vertex"], _json_int(rec["slot"]), _json_int(rec["stage"])
         except (TypeError, KeyError, ValueError) as err:
             raise GraphError("PARSE_ERROR", f"bad plan record {rec!r}") from err
         slots = by_vertex.setdefault(vertex, {})
@@ -210,7 +217,7 @@ def _read_labels(path: str, g: Graph) -> tuple[int, ...]:
     slots: dict[int, int] = {}
     for rec in records:
         try:
-            slot, label = int(rec["slot"]), int(rec["label"])
+            slot, label = _json_int(rec["slot"]), _json_int(rec["label"])
         except (TypeError, KeyError, ValueError) as err:
             raise GraphError("PARSE_ERROR", f"bad label record {rec!r}") from err
         if slot in slots:

@@ -73,8 +73,7 @@ class SubgraphT:
     def nodes(self) -> frozenset[Node]:
         out: set[Node] = set(self.core)
         for rid in self.ray_ids:
-            ray = self.graph.ray_map[rid]
-            out.update((rid, j) for j in range(ray.period_bound))
+            out.update((rid, j) for j in self.graph.ray_map[rid].positions_from(0))
         return frozenset(out)
 
     def contains(self, node: Node) -> bool:
@@ -382,7 +381,7 @@ def _t_reaching_sets(t: SubgraphT) -> dict[str, set[Node]]:
             if m in preds:
                 preds[m].add(n)
     return {
-        rid: reach(((rid, j) for j in range(t.graph.ray_map[rid].period_bound)), preds.__getitem__)
+        rid: reach(((rid, j) for j in t.graph.ray_map[rid].positions_from(0)), preds.__getitem__)
         for rid in sorted(t.ray_ids)
     }
 

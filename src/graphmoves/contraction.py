@@ -12,8 +12,10 @@ paths obtained by inserting extra full loops before a climb exit).
 how many B-paths join each pair, so it counts them (`count_Bv`) instead of
 listing them: one pass over T in reverse topological order, in the semiring
 N plus omega, costs time linear in T's slots times the g0 vertices reached,
-however many paths there are.  The per-edge provenance, which does list every
-path, is walked only when it is read.  `enumerate_Bv`, `ck_expand` (which
+however many paths there are.  Each count becomes one (source, end, count)
+slot, and `graph.assemble` builds the contracted graph from them, as it does
+for the two delays.  The per-edge provenance, which does list every path, is
+walked only when it is read.  `enumerate_Bv`, `ck_expand` (which
 recomputes a finite B_v by the leaf-rewriting rule) and `count_Bv` are three
 independent routes to the same counts.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping
 
 from .conditions import SubgraphT, _class_node, induced_T, theorem_verdict
@@ -29,8 +32,8 @@ from .errors import GraphError
 from .graph import (
     Graph,
     Node,
-    Ray,
     VertexSet,
+    assemble,
     in_slots,
     node_ref,
     out_slots,
@@ -317,9 +320,12 @@ class ContractedGraph:
 def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
     """Collapse to g0 with one edge per B-path.
 
-    Checked mode demands the full contractibility verdict; unchecked mode
-    (used to study what goes wrong without the conditions) only requires the
-    complement subgraph to be acyclic.
+    The B-paths from u to a g0 end merge into one edge u -> end, or one entry
+    of a kept ray when end is its x0, whose multiplicity counts them; edges
+    are sorted and entries listed by source.  Checked mode demands the full
+    contractibility verdict; unchecked mode (used to study what goes wrong
+    without the conditions) only requires the complement subgraph to be
+    acyclic.
     """
     if mode not in ("checked", "unchecked"):
         raise GraphError("BAD_ARGUMENT", f"unknown contraction mode {mode!r}")
@@ -348,35 +354,15 @@ def contract(g: Graph, g0: VertexSet, mode: str = "checked") -> ContractedGraph:
             )
         kept_rays.append(r)
 
-    vertices = tuple(u for u in g.vertices if u in g0.core)
-    edge_mult: dict[tuple[str, str], Mult] = {}
-    entry_mult: dict[tuple[str, str], Mult] = {}  # (source, ray id)
+    vertices = [u for u in g.vertices if u in g0.core]
     tails = _tail_counts(t)
-    for u in vertices:
-        for end, c in _bv_counts(t, tails, u).items():
-            # B-paths into a kept ray stop at its x0
-            if isinstance(end, tuple):
-                entry_mult[(u, end[0])] = _mult(c)
-            else:
-                edge_mult[(u, end)] = _mult(c)
-
-    rays = tuple(
-        Ray(
-            id=r.id,
-            entry=tuple(sorted(
-                ((src, m) for (src, rid), m in entry_mult.items() if rid == r.id),
-                key=lambda pair: pair[0],
-            )),
-            prefix=r.prefix,
-            cycle=r.cycle,
-        )
-        for r in kept_rays
+    # one slot per (source, end) pair; B-paths into a kept ray stop at its
+    # x0, so they become its entries, kept sorted by source
+    slots = sorted(
+        ((u, end, _mult(c)) for u in vertices for end, c in _bv_counts(t, tails, u).items()),
+        key=itemgetter(0),
     )
-    edges = tuple(
-        (s, d, m) for (s, d), m in sorted(edge_mult.items())
-    )
-    contracted = Graph(vertices=vertices, edges=edges, rays=rays)
-    return ContractedGraph(graph=contracted, t=t)
+    return ContractedGraph(graph=assemble(vertices, slots, kept_rays), t=t)
 
 
 def _record_path(provenance, src: str, refs, count: Mult, family):

@@ -20,7 +20,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import GraphError
 from .multiplicity import Mult, OMEGA, ONE, ZERO, msum
@@ -51,6 +51,12 @@ class Ray:
         if j < len(self.prefix):
             return self.prefix[j]
         return self.cycle[(j - len(self.prefix)) % len(self.cycle)]
+
+    def positions_from(self, k: int) -> range:
+        """The quotient positions of the suffix from k: positions min(k,
+        len(prefix)) .. period_bound-1, since a suffix starting inside the
+        cycle still visits every cycle class."""
+        return range(min(k, len(self.prefix)), self.period_bound)
 
     def class_of(self, j: int) -> int:
         """Quotient representative of position j (identity below period_bound)."""
@@ -129,18 +135,15 @@ class Graph:
         return {r.id: r for r in self.rays}
 
     @cached_property
-    def _out_edges(self) -> Mapping[str, tuple[tuple[str, Mult], ...]]:
-        acc: dict[str, list[tuple[str, Mult]]] = {v: [] for v in self.vertices}
+    def _out_slots(self) -> Mapping[str, tuple[tuple[Node, Mult], ...]]:
+        """Out-slots of every core vertex, one per record: core edges in edge
+        order, then ray entries into x0 in ray order."""
+        acc: dict[str, list[tuple[Node, Mult]]] = {v: [] for v in self.vertices}
         for src, dst, mult in self.edges:
             acc[src].append((dst, mult))
-        return {v: tuple(slots) for v, slots in acc.items()}
-
-    @cached_property
-    def _entries_by_src(self) -> Mapping[str, tuple[tuple[str, Mult], ...]]:
-        acc: dict[str, list[tuple[str, Mult]]] = {v: [] for v in self.vertices}
         for r in self.rays:
             for u, mult in r.entry:
-                acc[u].append((r.id, mult))
+                acc[u].append(((r.id, 0), mult))
         return {v: tuple(slots) for v, slots in acc.items()}
 
     @cached_property
@@ -179,31 +182,28 @@ def parse_ref(g: Graph, ref: str) -> Node:
     raise GraphError("UNKNOWN_VERTEX", f"no vertex {ref!r} in graph", vertex=ref)
 
 
-def out_slots(g: Graph, node: Node) -> list[Slot]:
-    """All out-edges of node as (target node, multiplicity), one per record."""
+def out_slots(g: Graph, node: Node) -> tuple[Slot, ...]:
+    """All out-edges of node as (target node, multiplicity), one per record.
+    A core vertex's slots are the graph's cached tuple; a spine position's
+    start with its spine edge."""
     if isinstance(node, str):
-        slots: list[Slot] = [(dst, m) for dst, m in g._out_edges[node]]
-        slots.extend(((rid, 0), m) for rid, m in g._entries_by_src[node])
-        return slots
+        return g._out_slots[node]
     rid, j = node
-    ray = g.ray_map[rid]
-    slots = [((rid, j + 1), ONE)]
-    slots.extend((dst, m) for dst, m in ray.targets(j))
-    return slots
+    return (((rid, j + 1), ONE),) + g.ray_map[rid].targets(j)
 
 
 def out_multiplicity(g: Graph, node: Node) -> Mult:
     return msum(m for _, m in out_slots(g, node))
 
 
-def quotient_slots(g: Graph, node: Node) -> list[Slot]:
+def quotient_slots(g: Graph, node: Node) -> tuple[Slot, ...]:
     """out_slots in the finite reachability quotient: the spine successor is
     wrapped to its class, so every node reached lies below period_bound."""
-    slots = out_slots(g, node)
-    if isinstance(node, tuple):
-        (rid, j), _ = slots[0]
-        slots[0] = ((rid, g.ray_map[rid].class_of(j)), ONE)
-    return slots
+    if isinstance(node, str):
+        return g._out_slots[node]
+    rid, j = node
+    ray = g.ray_map[rid]
+    return (((rid, ray.class_of(j + 1)), ONE),) + ray.targets(j)
 
 
 def in_slots(g: Graph, node: Node) -> tuple[Slot, ...]:
@@ -409,10 +409,7 @@ def source_nodes(g: Graph, vset: VertexSet) -> list[Node]:
     """The quotient nodes of vset, which must lie in g (check_membership_args)."""
     nodes: list[Node] = list(vset.core)
     for rid, k in vset.rays:
-        ray = g.ray_map[rid]
-        p = len(ray.prefix)
-        nodes.extend((rid, j) for j in range(k, p))
-        nodes.extend((rid, p + c) for c in range(len(ray.cycle)))
+        nodes.extend((rid, j) for j in g.ray_map[rid].positions_from(k))
     return nodes
 
 
@@ -432,35 +429,22 @@ def search_graph(g: Graph, restrict_to: VertexSet | None = None) -> dict[Node, t
     """The finite graph every cycle question runs on, as a successor map.
 
     Nodes are restrict_to's core vertices in vertex order, then positions
-    0 .. period_bound-1 of each ray whose x0 lies in restrict_to.  A cycle
-    visiting spine positions beyond one full period has a shorter twin
-    exiting within the first period, so each ray is cut after period_bound
-    positions, with no edge back into its cycle.  Cycles re-enter a ray only
-    at x0, so rays whose x0 lies outside restrict_to cannot carry a cycle at
-    all.  Parallel records give one successor, in first-record order.
+    0 .. period_bound-1 of each ray whose x0 lies in restrict_to.  A node's
+    successors are its out_slots that are nodes, once each, in first-record
+    order.  A cycle visiting spine positions beyond one full period has a
+    shorter twin exiting within the first period, so each ray is cut after
+    period_bound positions: (rid, period_bound) is not a node, so there is no
+    edge back into the cycle.  Cycles re-enter a ray only at x0, so rays
+    whose x0 lies outside restrict_to cannot carry a cycle at all.
     """
     restrict = restrict_to if restrict_to is not None else full_vertex_set(g)
     check_membership_args(g, restrict)
-    succ: dict[Node, dict[Node, None]] = {v: {} for v in g.vertices if v in restrict.core}
-    usable_rays = [r for r in g.rays if restrict.ray_state(r.id) == 0]
-    for r in usable_rays:
-        for j in range(r.period_bound):
-            succ[(r.id, j)] = {}
-    for src, dst, _ in g.edges:
-        if src in succ and dst in succ:
-            succ[src][dst] = None
-    for r in usable_rays:
-        for u, _ in r.entry:
-            if u in succ:
-                succ[u][(r.id, 0)] = None
-        for j in range(r.period_bound):
-            here = succ[(r.id, j)]
-            if j + 1 < r.period_bound:
-                here[(r.id, j + 1)] = None
-            for dst, _ in r.targets(j):
-                if dst in succ:
-                    here[dst] = None
-    return {n: tuple(targets) for n, targets in succ.items()}
+    nodes: list[Node] = [v for v in g.vertices if v in restrict.core]
+    for r in g.rays:
+        if restrict.ray_state(r.id) == 0:
+            nodes.extend((r.id, j) for j in r.positions_from(0))
+    keep = set(nodes)
+    return {n: tuple(dict.fromkeys(m for m, _ in out_slots(g, n) if m in keep)) for n in nodes}
 
 
 def strong_components(succ: Mapping[Node, tuple[Node, ...]]) -> list[list[Node]]:
@@ -665,6 +649,28 @@ def detect_tails(g: Graph) -> list[TailWitness]:
         chain.reverse()
         witnesses.append(TailWitness(node_ref(head), tuple(chain), ray.id, 0))
     return witnesses
+
+
+def assemble(vertices: Iterable[str], slots: Iterable[tuple[str, Node, Mult]], rays: Sequence[Ray]) -> Graph:
+    """The graph on vertices built from (source, target node, mult) slots.
+
+    Parallel slots between two core vertices merge into one edge, and the
+    edges are sorted.  A slot into (rid, 0) becomes an entry of that ray, in
+    slot order, and is never merged; each of rays keeps its id, prefix and
+    cycle and takes exactly these entries.
+    """
+    edges: dict[tuple[str, str], Mult] = {}
+    entries: dict[str, list[tuple[str, Mult]]] = {r.id: [] for r in rays}
+    for src, dst, m in slots:
+        if isinstance(dst, str):
+            edges[(src, dst)] = edges.get((src, dst), ZERO) + m
+        else:
+            entries[dst[0]].append((src, m))
+    return Graph(
+        vertices=tuple(vertices),
+        edges=tuple((src, dst, m) for (src, dst), m in sorted(edges.items())),
+        rays=tuple(Ray(r.id, tuple(entries[r.id]), r.prefix, r.cycle) for r in rays),
+    )
 
 
 def unrolled(ray: Ray, depth: int) -> tuple[list[str], list[tuple[str, str, Mult]]]:

@@ -81,7 +81,7 @@ def is_hereditary(g: Graph, h: VertexSet) -> bool:
     for rid, k in h.rays:
         ray = g.ray_map[rid]
         # positions from k on: a state inside the cycle has every class ahead
-        for j in range(min(k, len(ray.prefix)), ray.period_bound):
+        for j in ray.positions_from(k):
             if not all(dst in h.core for dst, _ in ray.targets(j)):
                 return False
     return True

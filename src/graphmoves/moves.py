@@ -19,6 +19,7 @@ from .graph import (
     Graph,
     Ray,
     VertexSet,
+    assemble,
     detect_tails,
     in_slots,
     node_ref,
@@ -27,7 +28,7 @@ from .graph import (
     parse_ref,
     unrolled,
 )
-from .multiplicity import Mult, ONE, ZERO
+from .multiplicity import Mult, ONE
 
 
 def _fresh_ids(g: Graph, wanted: Sequence[str]) -> None:
@@ -35,41 +36,6 @@ def _fresh_ids(g: Graph, wanted: Sequence[str]) -> None:
     for name in wanted:
         if name in taken:
             raise GraphError("DUPLICATE_ID", f"generated id {name!r} already taken", vertex=name)
-
-
-def _entry_ray(g: Graph, ref: str) -> str | None:
-    """The ray id when ref names an existing ray's x0 position, else None."""
-    if ref in g.vertex_set:
-        return None
-    if ref.endswith(".x0") and ref[: -len(".x0")] in g.ray_map:
-        return ref[: -len(".x0")]
-    return None
-
-
-class _EdgeAcc:
-    """Accumulates edges and ray entries with multiplicity aggregation."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.edges: dict[tuple[str, str], Mult] = {}
-        self.entries: dict[str, list[tuple[str, Mult]]] = {r.id: [] for r in g.rays}
-
-    def add(self, src: str, dst_ref: str, m: Mult) -> None:
-        rid = _entry_ray(self.g, dst_ref)
-        if rid is not None:
-            self.entries[rid].append((src, m))
-        else:
-            key = (src, dst_ref)
-            self.edges[key] = self.edges.get(key, ZERO) + m
-
-    def edge_tuple(self) -> tuple[tuple[str, str, Mult], ...]:
-        return tuple((s, d, m) for (s, d), m in sorted(self.edges.items()))
-
-    def rays_tuple(self) -> tuple[Ray, ...]:
-        return tuple(
-            Ray(id=r.id, entry=tuple(self.entries[r.id]), prefix=r.prefix, cycle=r.cycle)
-            for r in self.g.rays
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +114,15 @@ def out_slot_units(g: Graph, v: str) -> list[str]:
         raise GraphError("UNKNOWN_VERTEX", f"no core vertex {v!r} in graph", vertex=v)
     if out_multiplicity(g, v).is_omega:
         raise GraphError("INFINITE_DEGREE", f"{v} emits infinitely many edges", vertex=v)
-    pairs = [(node_ref(node), m) for node, m in out_slots(g, v)]
-    units: list[str] = []
-    for ref, m in sorted(pairs, key=lambda pair: pair[0]):
-        units.extend([ref] * m.n)
-    return units
+    return _units(out_slots(g, v))
 
 
 def in_slot_units(g: Graph, v: str) -> list[str]:
     """Unit in-slots of core vertex v in canonical order (source refs)."""
     if v not in g.vertex_set:
         raise GraphError("UNKNOWN_VERTEX", f"no core vertex {v!r} in graph", vertex=v)
-    pairs: list[tuple[str, Mult]] = []
-    for src, m in in_slots(g, v):
+    slots = in_slots(g, v)
+    for src, m in slots:
         if m.is_omega:
             if isinstance(src, str):
                 raise GraphError("INFINITE_DEGREE", f"{v} receives infinitely many edges", vertex=v)
@@ -170,11 +132,13 @@ def in_slot_units(g: Graph, v: str) -> list[str]:
                 vertex=v,
                 ray=src[0],
             )
-        pairs.append((node_ref(src), m))
-    units: list[str] = []
-    for ref, m in sorted(pairs, key=lambda pair: pair[0]):
-        units.extend([ref] * m.n)
-    return units
+    return _units(slots)
+
+
+def _units(slots) -> list[str]:
+    """One ref per multiplicity unit of finite slots, sorted by ref."""
+    pairs = sorted(((node_ref(node), m) for node, m in slots), key=lambda pair: pair[0])
+    return [ref for ref, m in pairs for _ in range(m.n)]
 
 
 def _validated_plans(g: Graph, plans: Sequence[DelayPlan], units_of) -> dict[str, tuple[DelayPlan, list[str]]]:
@@ -206,27 +170,16 @@ def out_delay(g: Graph, plans: Sequence[DelayPlan]) -> Graph:
     gantlet vertex instead.
     """
     planned = _validated_plans(g, plans, out_slot_units)
-    acc = _EdgeAcc(g)
     vertices = list(g.vertices)
-
-    for src, dst, m in g.edges:
-        if src not in planned:
-            acc.add(src, dst, m)
-    for r in g.rays:
-        for u, m in r.entry:
-            if u not in planned:
-                acc.entries[r.id].append((u, m))
-
+    slots = [(src, dst, m) for src, dst, m in g.edges if src not in planned]
+    slots += [(u, (r.id, 0), m) for r in g.rays for u, m in r.entry if u not in planned]
     for v in sorted(planned):
         plan, units = planned[v]
         names = _gantlet_names(g, v, max(plan.stages, default=0))
         vertices.extend(names[1:])
-        for k in range(len(names) - 1):
-            acc.add(names[k], names[k + 1], ONE)
-        for ref, stage in zip(units, plan.stages):
-            acc.add(names[stage], ref, ONE)
-
-    return Graph(vertices=tuple(vertices), edges=acc.edge_tuple(), rays=acc.rays_tuple())
+        slots += [(names[k], names[k + 1], ONE) for k in range(len(names) - 1)]
+        slots += [(names[stage], parse_ref(g, ref), ONE) for ref, stage in zip(units, plan.stages)]
+    return assemble(vertices, slots, g.rays)
 
 
 def in_delay(g: Graph, plans: Sequence[DelayPlan]) -> Graph:
@@ -236,58 +189,34 @@ def in_delay(g: Graph, plans: Sequence[DelayPlan]) -> Graph:
     steps up the gantlet.  Out-edges are unaffected.
     """
     planned = _validated_plans(g, plans, in_slot_units)
-
-    queues: dict[tuple[str, str], list[int]] = {}
-    for v, (plan, units) in planned.items():
+    vertices = list(g.vertices)
+    gantlets: dict[str, list[str]] = {}
+    queues: dict[tuple[str, str], list[int]] = {}  # (source ref, v) -> its units' stages
+    for v in sorted(planned):
+        plan, units = planned[v]
+        gantlets[v] = _gantlet_names(g, v, max(plan.stages, default=0))
+        vertices.extend(gantlets[v][1:])
         for ref, stage in zip(units, plan.stages):
             queues.setdefault((ref, v), []).append(stage)
 
-    vertices = list(g.vertices)
-    gantlets: dict[str, list[str]] = {}
-    for v in sorted(planned):
-        plan, _ = planned[v]
-        names = _gantlet_names(g, v, max(plan.stages, default=0))
-        gantlets[v] = names
-        vertices.extend(names[1:])
+    def landing(src_ref: str, dst: str, m: Mult) -> list[tuple[str, Mult]]:
+        """Where src_ref's slot into dst lands: dst itself, or for a planned
+        dst one gantlet vertex per unit, at that unit's stage."""
+        if dst not in planned:
+            return [(dst, m)]
+        return [(gantlets[dst][queues[(src_ref, dst)].pop(0)], ONE) for _ in range(m.n)]
 
-    def landing(src_ref: str, v: str) -> str:
-        return gantlets[v][queues[(src_ref, v)].pop(0)]
-
-    acc = _EdgeAcc(g)
-    for v, names in gantlets.items():
-        for k in range(len(names) - 1):
-            acc.add(names[k + 1], names[k], ONE)
-    for src, dst, m in g.edges:
-        if dst in planned:
-            for _ in range(m.n):
-                acc.add(src, landing(src, dst), ONE)
-        else:
-            acc.add(src, dst, m)
-
-    def remap_positions(rid: str, positions, base: int):
-        out = []
-        for j, targets in enumerate(positions):
-            new_pos: list[tuple[str, Mult]] = []
-            for dst, m in targets:
-                if dst in planned:
-                    ref = f"{rid}.x{base + j}"
-                    for _ in range(m.n):
-                        new_pos.append((landing(ref, dst), ONE))
-                else:
-                    new_pos.append((dst, m))
-            out.append(tuple(new_pos))
-        return tuple(out)
-
-    rays = tuple(
-        Ray(
-            id=r.id,
-            entry=r.entry,
-            prefix=remap_positions(r.id, r.prefix, 0),
-            cycle=remap_positions(r.id, r.cycle, len(r.prefix)),
+    def remap(rid: str, positions, base: int):
+        return tuple(
+            tuple(hit for dst, m in targets for hit in landing(f"{rid}.x{base + j}", dst, m))
+            for j, targets in enumerate(positions)
         )
-        for r in g.rays
-    )
-    return Graph(vertices=tuple(vertices), edges=acc.edge_tuple(), rays=rays)
+
+    slots = [(names[k + 1], names[k], ONE) for names in gantlets.values() for k in range(len(names) - 1)]
+    slots += [(src, *hit) for src, dst, m in g.edges for hit in landing(src, dst, m)]
+    slots += [(u, (r.id, 0), m) for r in g.rays for u, m in r.entry]
+    rays = [Ray(r.id, r.entry, remap(r.id, r.prefix, 0), remap(r.id, r.cycle, len(r.prefix))) for r in g.rays]
+    return assemble(vertices, slots, rays)
 
 
 # ---------------------------------------------------------------------------

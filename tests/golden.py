@@ -20,7 +20,10 @@ Usage, from the repository root:
     python tests/golden.py --dump DIR     # write DIR/<layer>.txt, full lines
 
 A line is "<case id>\\t<payload>".  The payload is compact sorted JSON of the
-layer's records, or "error:<code>" where a call raises GraphError.
+layer's records, or "error:<code>" where a call raises GraphError.  The
+`order` layer is the exception: it holds `repr()` of every Graph that
+`contract`, `out_delay` and `in_delay` return, so it sees the order of
+edges, rays and entries, which `graph_record` sorts away.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ LAYERS = (
     "skew",
     "tails_to_sinks",
     "export_dot",
+    "order",
 )
 
 
@@ -91,6 +95,11 @@ class Dump:
             return
         self.add(layer, case, _payload(record))
 
+    def order(self, case: str, graph: Graph) -> Graph:
+        """Record graph's field order in the order layer; return graph."""
+        self.add("order", case, repr(graph))
+        return graph
+
     def digests(self) -> dict[str, str]:
         return {
             layer: hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
@@ -102,7 +111,7 @@ class Dump:
 # per-layer records
 
 
-def _contract_record(g: Graph, g0: VertexSet) -> dict:
+def _contract_record(dump: Dump, case: str, g: Graph, g0: VertexSet) -> dict:
     out = {}
     for mode in ("checked", "unchecked"):
         try:
@@ -110,10 +119,25 @@ def _contract_record(g: Graph, g0: VertexSet) -> dict:
         except gm.GraphError as err:
             out[mode] = f"error:{err.code}"
             continue
+        dump.order(f"{case}/{mode}", result.graph)
         small = len(g.vertices) + sum(r.period_bound for r in g.rays) <= PROVENANCE_MAX_VERTICES
         out[mode] = result.to_record() if small else graph_record(result.graph)
         break
     return out
+
+
+def _order_whole(dump: Dump, case: str, g: Graph) -> Graph:
+    """Record contract onto all of g, which only merges parallel edges and
+    entries, in the order layer; return g."""
+    dump.order(f"{case}/whole", gm.contract(g, gm.full_vertex_set(g), "unchecked").graph)
+    return g
+
+
+def _delay_record(dump: Dump, case: str, move, g: Graph, plans: list) -> dict:
+    """graph_record of the delayed graph.  Its gantlet vertices follow the
+    original ones, out of sorted order, so the order layer also takes its
+    contraction onto itself."""
+    return graph_record(_order_whole(dump, case, dump.order(case, move(g, plans))))
 
 
 def _count_record(g: Graph, g0: VertexSet) -> dict:
@@ -202,15 +226,17 @@ def all_layers(dump: Dump, case: str, g: Graph, g0s: list[VertexSet], seed: int)
     for i, g0 in enumerate(g0s):
         sub = f"{case}/{i}"
         _verdicts(dump, sub, g, g0)
-        dump.run("contract", sub, _contract_record, g, g0)
+        dump.run("contract", sub, _contract_record, dump, sub, g, g0)
         dump.run("count_Bv", sub, _count_record, g, g0)
         dump.run("closure", sub, _fullness_record, g, g0)
     dump.run("closure", case, _closure_record, g, _closure_starts(g))
     dump.run("ideals", case, _ideals_record, g)
     dump.run("ktheory", case, _ktheory_record, g)
     dump.run("desingularize", case, lambda: graph_record(gm.desingularize(g)))
-    dump.run("out_delay", case, lambda: graph_record(gm.out_delay(g, _plans(g, gm.out_slot_units, rng))))
-    dump.run("in_delay", case, lambda: graph_record(gm.in_delay(g, _plans(g, gm.in_slot_units, rng))))
+    _order_whole(dump, case, g)
+    for move, units_of in ((gm.out_delay, gm.out_slot_units), (gm.in_delay, gm.in_slot_units)):
+        layer = move.__name__
+        dump.run(layer, case, _delay_record, dump, f"{case}/{layer}", move, g, _plans(g, units_of, rng))
     side = g0s[0]
     rest = VertexSet.make(set(g.vertices) - side.core)
     dump.run("esse", case, _esse_record, g, side, rest)
@@ -274,7 +300,7 @@ def perfbench_case(dump: Dump, case_id: str, case: dict) -> None:
     if op == "check":
         _verdicts(dump, case_id, g, vs(a["g0"]))
     elif op == "contract":
-        dump.run("contract", case_id, lambda: graph_record(gm.contract(g, vs(a["g0"]), "checked").graph))
+        dump.run("contract", case_id, lambda: graph_record(dump.order(case_id, gm.contract(g, vs(a["g0"]), "checked").graph)))
     elif op in ("desingularize", "out_delay", "in_delay"):
         extra = ()
         if op != "desingularize":
@@ -282,9 +308,12 @@ def perfbench_case(dump: Dump, case_id: str, case: dict) -> None:
 
         def round_trip():
             mid = getattr(gm, op)(g, *extra)
+            if op != "desingularize":
+                dump.order(f"{case_id}/{op}", mid)
             if "core" not in a:  # the cli workload runs the move alone
                 return [graph_record(mid)]
-            return [graph_record(mid), graph_record(gm.contract(mid, vs(a["core"]), "checked").graph)]
+            back = dump.order(f"{case_id}/contract", gm.contract(mid, vs(a["core"]), "checked").graph)
+            return [graph_record(mid), graph_record(back)]
 
         dump.run(op, case_id, round_trip)
     elif op == "esse":

@@ -183,6 +183,13 @@ RECORD_FILE_ERRORS = [
     ("not a list", PLAN, '{"vertex": "u", "slot": 0, "stage": 1}'),
     ("plan without stage", PLAN, '[{"vertex": "u", "slot": 0}]'),
     ("label slot twice", LABELS, '[{"slot": 0, "label": 0}, {"slot": 0, "label": 1}]'),
+    ("fractional stage", PLAN, '[{"vertex": "u", "slot": 0, "stage": 1.7}]'),
+    ("string slot", PLAN, '[{"vertex": "u", "slot": "0", "stage": 1}]'),
+    ("string stage", PLAN, '[{"vertex": "u", "slot": 0, "stage": "2"}]'),
+    ("boolean stage", PLAN, '[{"vertex": "u", "slot": 0, "stage": true}]'),
+    ("fractional label slot", LABELS, '[{"slot": 0.9, "label": 1}]'),
+    ("string label", LABELS, '[{"slot": 0, "label": "1"}]'),
+    ("boolean label slot", LABELS, '[{"slot": false, "label": 1}]'),
 ]
 
 

@@ -6,6 +6,7 @@ from graphmoves.graph import (
     Graph,
     Ray,
     VertexSet,
+    assemble,
     build_graph,
     canonical_key,
     detect_tails,
@@ -17,6 +18,7 @@ from graphmoves.graph import (
     out_multiplicity,
     out_slots,
     parse_ref,
+    quotient_slots,
     reachable_set,
     simple_cycles,
     singularities,
@@ -219,6 +221,10 @@ def test_ray_targets_and_classes():
     assert r.class_of(1) == r.class_of(3) == 1
     assert r.class_of(2) == r.class_of(4) == 2
     assert r.period_bound == 3
+    assert list(r.positions_from(0)) == [0, 1, 2]
+    assert list(r.positions_from(1)) == [1, 2]
+    # a suffix starting inside the cycle still visits every cycle class
+    assert list(r.positions_from(2)) == list(r.positions_from(7)) == [1, 2]
 
 
 def test_out_slots_and_degrees():
@@ -229,6 +235,8 @@ def test_out_slots_and_degrees():
     assert in_multiplicity(g, ("L", 0)) == ONE
     slot_refs = sorted(node_ref(n) for n, _ in out_slots(g, "v"))
     assert slot_refs == ["L.x0", "R.x0", "w"]
+    # a core vertex's slots are the cached tuple, shared by both views
+    assert out_slots(g, "v") is out_slots(g, "v") is quotient_slots(g, "v")
 
 
 def test_singularities():
@@ -439,6 +447,24 @@ def test_graphs_equal_distinguishes_mult():
     g1 = build_graph({"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "mult": 2}]})
     g2 = build_graph({"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "mult": "inf"}]})
     assert not graphs_equal(g1, g2)
+
+
+def test_assemble_merges_parallel_slots_and_sorts_edges():
+    g = assemble(["b", "a"], [("b", "a", ONE), ("a", "b", ONE), ("b", "a", Mult(2)), ("a", "a", OMEGA)], [])
+    assert g.vertices == ("b", "a")
+    assert g.edges == (("a", "a", OMEGA), ("a", "b", ONE), ("b", "a", Mult(3)))
+    assert g.rays == ()
+
+
+def test_assemble_slots_into_x0_become_entries_in_slot_order():
+    r = Ray(id="R", entry=(("a", ONE),), prefix=((("a", ONE),),), cycle=((("b", Mult(2)),), ()))
+    slots = [("b", ("R", 0), ONE), ("a", "b", ONE), ("a", ("R", 0), Mult(2)), ("b", ("R", 0), ONE)]
+    g = assemble(["a", "b"], slots, [r])
+    assert g.edges == (("a", "b", ONE),)
+    (out,) = g.rays
+    # the old entries are dropped; parallel entries stay separate records
+    assert out.entry == (("b", ONE), ("a", Mult(2)), ("b", ONE))
+    assert (out.id, out.prefix, out.cycle) == (r.id, r.prefix, r.cycle)
 
 
 def test_materialize_shape():
