@@ -388,21 +388,15 @@ def _t_reaching_sets(t: SubgraphT) -> dict[str, set[Node]]:
 
 def check_proposition(g: Graph, g0: VertexSet) -> ContractionVerdict:
     """Cycle/path conditions: (1) every cycle meets g0, then (b'),(c'),(d'),(a')."""
-    _check_g0(g, g0)
+    t = induced_T(g, g0)
     violations = _ambient_violations(g, g0)
-    # (1): a cycle avoiding g0 lies in a cyclic strong component of the
-    # search graph with g0's nodes deleted
-    avoiding = {
-        n: tuple(m for m in targets if not g0.contains_node(m))
-        for n, targets in search_graph(g).items()
-        if not g0.contains_node(n)
-    }
-    bad_cycles = cycle_witnesses(avoiding, strong_components(avoiding))
+    # (1): a cycle avoiding g0 lies in a cyclic strong component of T's
+    # search graph
+    bad_cycles = cycle_witnesses(t.search, strong_components(t.search))
     violations.extend(Violation("T_CYCLE", cycle=c) for c in bad_cycles)
     if bad_cycles:
         return _verdict(violations)
 
-    t = induced_T(g, g0)
     reach_by_ray = _t_reaching_sets(t)
     t_inf: set[Node] = set()
     for nodes in reach_by_ray.values():

@@ -2,9 +2,10 @@
 
 A subset is hereditary when it contains everything its members reach, and
 saturated when it already contains every vertex whose finitely many edges all
-land inside it.  The closure runs a reachability pass, then saturation passes;
-on rays the membership states keep the canonical NONE/ALL_FROM(k) shape, and
-one pass pulls k back past every spine position that saturation forces.
+land inside it.  The closure runs a reachability pass, then unit propagation
+(Dowling and Gallier 1984): a node joins once its last out-slot lands inside,
+and a spine position, whose spine edge is one of its slots, obeys the same
+rule, so ray states keep the canonical NONE/ALL_FROM(k) shape.
 
 Every saturated hereditary set carries ray states k <= prefix length: a state
 inside the repeating cycle would let hereditarity feed saturation around the
@@ -19,9 +20,11 @@ from functools import cached_property
 from .errors import GraphError
 from .graph import (
     Graph,
+    Node,
     VertexSet,
     check_membership_args,
     full_vertex_set,
+    in_slots,
     out_multiplicity,
     out_slots,
     reach,
@@ -32,29 +35,20 @@ from .graphio import _dot_quote
 MAX_MEMBERS = 4096  # enumerate_SH refuses a graph with more saturated hereditary subsets
 
 
-def _saturate(g: Graph, h: VertexSet) -> VertexSet | None:
-    """h grown by every core vertex and ray position that saturation forces
-    in one pass (a whole forced period forces the rest of the cycle), or None
-    when it forces nothing."""
-    core, states = set(h.core), dict(h.rays)
-    for w in g.vertices:
-        if w in core:
-            continue
-        slots = out_slots(g, w)
-        if not slots or out_multiplicity(g, w).is_omega:
-            continue  # sinks and infinite emitters are never forced
-        if all(dst in core if isinstance(dst, str) else states.get(dst[0]) == 0 for dst, _ in slots):
-            core.add(w)
-    for rid, start in h.rays:
-        ray, k = g.ray_map[rid], start
-        while k and all(dst in core for dst, _ in ray.targets(k - 1)):
-            k -= 1
-            if k == start - len(ray.cycle) > len(ray.prefix):
-                k = len(ray.prefix)
-        states[rid] = k
-    if len(core) == len(h.core) and states == h.ray_states:
-        return None
-    return VertexSet.make(core, states)
+def _outside_counts(g: Graph, h: VertexSet) -> dict[Node, int]:
+    """How many out-slots leave h, for each node outside h that saturation
+    may force: the finite, nonsink core vertices, and the last period_bound
+    spine positions below each ray state (deeper ones have their spine edge
+    outside, and every state _saturation passes is at most len(prefix))."""
+    counts: dict[Node, int] = {}
+    for v in g.vertex_set - h.core:
+        slots = out_slots(g, v)
+        if slots and not out_multiplicity(g, v).is_omega:
+            counts[v] = sum(not h.contains_node(dst) for dst, _ in slots)
+    for rid, k in h.rays:
+        for j in range(max(0, k - g.ray_map[rid].period_bound), k):
+            counts[(rid, j)] = sum(not h.contains_node(dst) for dst, _ in out_slots(g, (rid, j)))
+    return counts
 
 
 def _saturation(g: Graph, hereditary: VertexSet) -> VertexSet:
@@ -62,10 +56,24 @@ def _saturation(g: Graph, hereditary: VertexSet) -> VertexSet:
     hereditary."""
     # a hereditary set holds every cycle target, so a state inside the cycle
     # is forced back to the prefix boundary at once
-    current = VertexSet.make(hereditary.core, {rid: min(k, len(g.ray_map[rid].prefix)) for rid, k in hereditary.rays})
-    while (grown := _saturate(g, current)) is not None:
-        current = grown
-    return current
+    h = VertexSet.make(hereditary.core, {rid: min(k, len(g.ray_map[rid].prefix)) for rid, k in hereditary.rays})
+    counts = _outside_counts(g, h)
+
+    def freed(node: Node):
+        for src, _ in in_slots(g, node):
+            if src in counts:
+                counts[src] -= 1
+                if not counts[src]:
+                    yield src
+
+    joined = reach([n for n, c in counts.items() if not c], freed)
+    if not joined:
+        return h
+    states = dict(h.rays)
+    for node in joined:
+        if isinstance(node, tuple):
+            states[node[0]] = min(states[node[0]], node[1])
+    return VertexSet.make(h.core.union(n for n in joined if isinstance(n, str)), states)
 
 
 def closure_SH(g: Graph, x: VertexSet) -> VertexSet:
@@ -74,22 +82,12 @@ def closure_SH(g: Graph, x: VertexSet) -> VertexSet:
 
 
 def is_hereditary(g: Graph, h: VertexSet) -> bool:
-    check_membership_args(g, h)
-    for v in h.core:
-        if not all(h.contains_node(node) for node, _ in out_slots(g, v)):
-            return False
-    for rid, k in h.rays:
-        ray = g.ray_map[rid]
-        # positions from k on: a state inside the cycle has every class ahead
-        for j in ray.positions_from(k):
-            if not all(dst in h.core for dst, _ in ray.targets(j)):
-                return False
-    return True
+    return reachable_set(g, h).is_subset(h)
 
 
 def is_saturated(g: Graph, h: VertexSet) -> bool:
     check_membership_args(g, h)
-    return _saturate(g, h) is None
+    return 0 not in _outside_counts(g, h).values()
 
 
 @dataclass(frozen=True)

@@ -191,20 +191,22 @@ def in_delay(g: Graph, plans: Sequence[DelayPlan]) -> Graph:
     planned = _validated_plans(g, plans, in_slot_units)
     vertices = list(g.vertices)
     gantlets: dict[str, list[str]] = {}
-    queues: dict[tuple[str, str], list[int]] = {}  # (source ref, v) -> its units' stages
+    stages: dict[tuple[str, str], list[int]] = {}  # (source ref, v) -> its units' stages
     for v in sorted(planned):
         plan, units = planned[v]
         gantlets[v] = _gantlet_names(g, v, max(plan.stages, default=0))
         vertices.extend(gantlets[v][1:])
         for ref, stage in zip(units, plan.stages):
-            queues.setdefault((ref, v), []).append(stage)
+            stages.setdefault((ref, v), []).append(stage)
+    queues = {key: iter(unit_stages) for key, unit_stages in stages.items()}
 
     def landing(src_ref: str, dst: str, m: Mult) -> list[tuple[str, Mult]]:
         """Where src_ref's slot into dst lands: dst itself, or for a planned
         dst one gantlet vertex per unit, at that unit's stage."""
         if dst not in planned:
             return [(dst, m)]
-        return [(gantlets[dst][queues[(src_ref, dst)].pop(0)], ONE) for _ in range(m.n)]
+        queue = queues[(src_ref, dst)]
+        return [(gantlets[dst][next(queue)], ONE) for _ in range(m.n)]
 
     def remap(rid: str, positions, base: int):
         return tuple(
@@ -317,12 +319,10 @@ def tails_to_sinks(g: Graph) -> Graph:
         return g
     doomed_core: set[str] = set()
     cut: dict[str, int] = {}  # ray id -> number of spine positions kept as core
-    heads_core: set[str] = set()
     for w in witnesses:
         doomed_core.update(w.core_chain)
         node = parse_ref(g, w.head)
         if isinstance(node, str):
-            heads_core.add(node)
             cut[w.ray] = 0  # the whole ray vanishes into the core head
         else:
             cut[w.ray] = node[1] + 1  # the head position stays as the sink
@@ -340,11 +340,11 @@ def tails_to_sinks(g: Graph) -> Graph:
             names, ray_edges = unrolled(r, cut[r.id] - 1)
             vertices.extend(names)
             edges.extend(ray_edges)
+    # a core head's single out-slot fed the tail: it enters a doomed chain
+    # vertex, or the ray, whose entries vanish with it
     for src, dst, m in g.edges:
         if src in doomed_core or dst in doomed_core:
             continue
-        if src in heads_core:
-            continue  # the head's single out-edge fed the tail
         edges.append((src, dst, m))
     vertices = [v for v in vertices if v not in doomed_core]
     return Graph(vertices=tuple(vertices), edges=tuple(edges), rays=tuple(rays))

@@ -548,6 +548,7 @@ FORGED = [
     ),
     ("COND_A prefix not a path", Violation("COND_A", "v", prefix1=("v", "L.x0", "R.x0"), prefix2=("v", "R.x0"))),
     ("COND_C in-degree one", Violation("COND_C", "L.x0", in_degree=1)),
+    ("T_CYCLE refs not a step", Violation("T_CYCLE", cycle=("L.x0", "R.x0"))),
     ("unknown kind", Violation("COND_Z", "v")),
 ]
 

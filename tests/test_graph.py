@@ -9,6 +9,7 @@ from graphmoves.graph import (
     assemble,
     build_graph,
     canonical_key,
+    check_membership_args,
     detect_tails,
     full_vertex_set,
     graphs_equal,
@@ -204,6 +205,13 @@ def test_ref_round_trip():
         with pytest.raises(GraphError) as err:
             parse_ref(g, bad)
         assert err.value.code == "UNKNOWN_VERTEX"
+
+
+def test_membership_args_reject_an_unknown_ray():
+    with pytest.raises(GraphError) as err:
+        check_membership_args(fix_vi_e(), VertexSet.make({"v"}, {"Q": 0}))
+    assert err.value.code == "UNKNOWN_VERTEX"
+    assert err.value.context == {"ray": "Q"}
 
 
 def test_ray_targets_and_classes():

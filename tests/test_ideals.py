@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from itertools import chain, combinations
@@ -7,7 +8,16 @@ import pytest
 from graphmoves.contraction import contract
 from graphmoves.errors import GraphError
 from graphmoves.fixtures import FIXTURES, fix_b2, fix_inf, fix_loop, fix_vi_e, fix_vi_f
-from graphmoves.graph import Graph, VertexSet, build_graph, full_vertex_set
+from graphmoves.graph import (
+    Graph,
+    VertexSet,
+    build_graph,
+    check_membership_args,
+    full_vertex_set,
+    out_multiplicity,
+    out_slots,
+    reachable_set,
+)
 from graphmoves.graphio import RandomSpec, generate_random
 from graphmoves.ideals import (
     MAX_MEMBERS,
@@ -18,7 +28,7 @@ from graphmoves.ideals import (
     is_saturated,
     sh_hasse_dot,
 )
-from graphmoves.multiplicity import OMEGA
+from graphmoves.multiplicity import OMEGA, ONE
 
 VW = VertexSet.make({"v", "w"})
 
@@ -350,3 +360,99 @@ def test_morita_probe_random():
             continue
         _assert_lattice_iso(g, g0)
         verified += 1
+
+
+# ---------------------------------------------------------------------------
+# oracle: the saturation pass loop and the per-slot hereditary check that
+# closure_SH, is_saturated and is_hereditary replaced
+
+
+def _ref_saturate(g: Graph, h: VertexSet) -> VertexSet | None:
+    """h grown by everything one saturation pass forces, or None."""
+    core, states = set(h.core), dict(h.rays)
+    for w in g.vertices:
+        if w in core:
+            continue
+        slots = out_slots(g, w)
+        if not slots or out_multiplicity(g, w).is_omega:
+            continue
+        if all(dst in core if isinstance(dst, str) else states.get(dst[0]) == 0 for dst, _ in slots):
+            core.add(w)
+    for rid, start in h.rays:
+        ray, k = g.ray_map[rid], start
+        while k and all(dst in core for dst, _ in ray.targets(k - 1)):
+            k -= 1
+            if k == start - len(ray.cycle) > len(ray.prefix):
+                k = len(ray.prefix)
+        states[rid] = k
+    if len(core) == len(h.core) and states == h.ray_states:
+        return None
+    return VertexSet.make(core, states)
+
+
+def _ref_closure(g: Graph, x: VertexSet) -> VertexSet:
+    hereditary = reachable_set(g, x)
+    current = VertexSet.make(hereditary.core, {rid: min(k, len(g.ray_map[rid].prefix)) for rid, k in hereditary.rays})
+    while (grown := _ref_saturate(g, current)) is not None:
+        current = grown
+    return current
+
+
+def _ref_is_saturated(g: Graph, h: VertexSet) -> bool:
+    check_membership_args(g, h)
+    return _ref_saturate(g, h) is None
+
+
+def _ref_is_hereditary(g: Graph, h: VertexSet) -> bool:
+    check_membership_args(g, h)
+    for v in h.core:
+        if not all(h.contains_node(node) for node, _ in out_slots(g, v)):
+            return False
+    for rid, k in h.rays:
+        ray = g.ray_map[rid]
+        for j in ray.positions_from(k):
+            if not all(dst in h.core for dst, _ in ray.targets(j)):
+                return False
+    return True
+
+
+def _random_set(g: Graph, rng: random.Random) -> VertexSet:
+    """A core subset plus ray states below, inside and far past each ray's period."""
+    states = {}
+    for r in g.rays:
+        if rng.random() < 0.6:
+            states[r.id] = rng.choice((rng.randint(0, r.period_bound + 2), 1_000_000_007 + rng.randint(0, 5)))
+    return VertexSet.make({v for v in g.vertices if rng.random() < 0.3}, states)
+
+
+def test_saturation_matches_pass_loop_on_random_draws():
+    far = 0
+    for seed in range(3000):
+        spec = RandomSpec(seed=seed, omega_probability=(0.0, 0.1, 0.3)[seed % 3], ray_range=(0, 3), cycle_range=(1, 3))
+        g, _ = generate_random(spec)
+        rng = random.Random(seed)
+        for _ in range(2):
+            x = _random_set(g, rng)
+            far += any(k > 1_000_000 for _, k in x.rays)
+            closed = closure_SH(g, x)
+            assert closed == _ref_closure(g, x), (seed, x.render())
+            hereditary = reachable_set(g, x)
+            for h in (x, hereditary, closed):
+                assert is_saturated(g, h) == _ref_is_saturated(g, h), (seed, h.render())
+                assert is_hereditary(g, h) == _ref_is_hereditary(g, h), (seed, h.render())
+    assert far > 1000
+
+
+def _chain(n: int) -> Graph:
+    """v0 -> v1 -> ... -> v{n-1}, vertices listed in edge order."""
+    names = tuple(f"v{i}" for i in range(n))
+    return Graph(names, tuple((names[i], names[i + 1], ONE) for i in range(n - 1)))
+
+
+@pytest.mark.parametrize("n, ceiling", [(2_000, 0.05), (100_000, 3.0)])
+def test_chain_closure_is_linear(n, ceiling):
+    g = _chain(n)
+    start = time.perf_counter()
+    closed = closure_SH(g, VertexSet.make({f"v{n - 1}"}))
+    assert time.perf_counter() - start < ceiling
+    assert closed == full_vertex_set(g)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from graphmoves.conditions import check_theorem
@@ -151,6 +153,23 @@ def test_in_delay_loop():
     assert graphs_equal(back.graph, g)
 
 
+def test_in_delay_of_one_wide_slot_is_linear():
+    n = 200_000
+    g = Graph(("u", "v"), (("u", "v", Mult(n)), ("v", "v", ONE)))
+    stages = tuple(i % 3 for i in range(n)) + (0,)  # u's units, then the loop at v
+    start = time.perf_counter()
+    d = in_delay(g, [DelayPlan("v", stages)])
+    assert time.perf_counter() - start < 1.5
+    assert set(d.edges) == {
+        ("u", "v", Mult(n // 3 + 1)),
+        ("u", "v_1", Mult(n // 3 + 1)),
+        ("u", "v_2", Mult(n // 3)),
+        ("v", "v", ONE),
+        ("v_1", "v", ONE),
+        ("v_2", "v_1", ONE),
+    }
+
+
 def test_zero_stage_plans_are_identity():
     g = fix_b2()
     plans = [DelayPlan(v, tuple(0 for _ in out_slot_units(g, v))) for v in g.vertices]
@@ -282,6 +301,16 @@ def test_esse_rejects_bad_partitions():
     assert err.value.code == "HAS_RAYS"
 
 
+def test_esse_split_names_the_side_that_fails():
+    # x is a sink, so contracting onto side 1 leaves a singularity outside it
+    g = build_graph({"vertices": ["a", "x"], "edges": [{"src": "a", "dst": "x"}]})
+    with pytest.raises(GraphError) as err:
+        esse_split(g, (VertexSet.make({"a"}), VertexSet.make({"x"})))
+    assert err.value.code == "CONDITIONS_FAILED"
+    assert err.value.context["side"] == 1
+    assert [v["kind"] for v in err.value.context["verdict"]["violations"]] == ["SINGULARITY_OUTSIDE_G0"]
+
+
 def _random_bipartite(rng):
     n1 = rng.randint(1, 3)
     n2 = rng.randint(1, 3)
@@ -370,6 +399,12 @@ def test_skew_preserves_degree_profile_fiberwise():
                 assert srow == row, (v, k)
 
 
+def test_skew_product_rejects_rays():
+    with pytest.raises(GraphError) as err:
+        skew_product(fix_vi_e(), CocycleLabeling(2, ()))
+    assert err.value.code == "HAS_RAYS"
+
+
 def test_skew_label_count_checked():
     with pytest.raises(GraphError) as err:
         skew_product(fix_loop(), CocycleLabeling(2, (1, 0)))
@@ -431,6 +466,23 @@ def test_tails_mid_ray_head_keeps_live_positions():
     assert set(t.vertices) == {"a", "T.x0", "T.x1"}
     assert ("T.x0", "a", Mult(3)) in t.edges
     assert ("T.x0", "T.x1", ONE) in t.edges
+    assert detect_tails(t) == []
+
+
+def test_tails_keep_a_ray_that_is_no_tail():
+    # T is a bare tail from x0; L keeps emitting into a, so it stays as it is
+    g = build_graph({
+        "vertices": ["a"],
+        "edges": [{"src": "a", "dst": "a", "mult": 1}],
+        "rays": [
+            {"id": "L", "entry": [{"src": "a", "mult": 1}], "prefix": [], "cycle": [[{"dst": "a", "mult": 1}]]},
+            {"id": "T", "entry": [{"src": "a", "mult": 1}], "prefix": [], "cycle": [[]]},
+        ],
+    })
+    t = tails_to_sinks(g)
+    assert t.rays == (g.ray_map["L"],)
+    assert set(t.vertices) == {"a", "T.x0"}
+    assert ("a", "T.x0", ONE) in t.edges
     assert detect_tails(t) == []
 
 
